@@ -14,19 +14,22 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gammaln
 from scipy.stats import gaussian_kde
 
 from . import mcmc, tlmm
-from .distributions import igw_sample, inv_chisq_log_density, moonrock_log_density
+from .distributions import (
+    igw_sample,
+    inv_chisq_log_density,
+    inv_chisq_sqrt_mean,
+    inv_chisq_sqrt_sd,
+    moonrock_log_density,
+)
 from .errors import (
     DimensionMismatch,
-    DivergentIntegral,
     DomainError,
-    ImproperMessage,
+    IGWVMPError,
     InvalidHyperparameter,
     NotConverged,
-    NumericalFailure,
 )
 
 __all__ = ["main", "build_parser", "read_data_csv", "write_data_csv", "density_accuracy"]
@@ -217,27 +220,6 @@ def cmd_simulate(args):
     return 0
 
 
-def _vmp_payload(summary, tol):
-    s = summary
-    return {
-        "method": "vmp",
-        "converged": True,
-        "iterations": s.report.iterations,
-        "final_change": s.report.final_change,
-        "tol": tol,
-        "names": list(s.names),
-        "beta_u": {"mean": s.coefficient_mean.tolist(), "cov": s.coefficient_cov.tolist()},
-        "sigma2": {"delta": s.noise_delta, "lambda": s.noise_lambda},
-        "Sigma": {
-            "xi": s.variance.xi,
-            "Lambda": s.variance.Lambda.tolist(),
-            "kappa": s.variance_kappa,
-        },
-        "upsilon": {"alpha": s.df_half.alpha, "beta": s.df_half.beta},
-        "nu_density": {"grid": s.nu_grid.tolist(), "values": s.nu_density.tolist()},
-    }
-
-
 def cmd_fit_vmp(args):
     data = read_data_csv(args.input)
     des = tlmm.assemble_design(data, args.design)
@@ -257,7 +239,10 @@ def cmd_fit_vmp(args):
         )
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    _write_json(args.output, _vmp_payload(fit.summary, args.tol))
+    _write_json(
+        args.output,
+        {"method": "vmp", "converged": True, "tol": args.tol, **fit.summary.to_dict()},
+    )
     print(f"converged in {fit.summary.report.iterations} sweeps; wrote {args.output}")
     return 0
 
@@ -324,15 +309,6 @@ def _normal_pdf(grid, mu, sd):
     return np.exp(-0.5 * z * z) / (sd * np.sqrt(2.0 * np.pi))
 
 
-def _inv_chisq_sqrt_moments(delta, lam):
-    """Mean and sd of sqrt(x) for x inverse-chi^2(delta, lambda)."""
-    if delta <= 2:
-        raise DomainError("sd summaries need delta > 2")
-    mean = float(np.exp(0.5 * np.log(lam / 2.0) + gammaln((delta - 1) / 2.0) - gammaln(delta / 2.0)))
-    second = lam / (delta - 2.0)
-    return mean, float(np.sqrt(max(second - mean * mean, 0.0)))
-
-
 def _compare_entries(fit, chain, seed):
     """(name, vmp mean, vmp sd, vmp density callable, chain draws) per
     reported parameter: fixed effects, the first two groups' random
@@ -354,12 +330,11 @@ def _compare_entries(fit, chain, seed):
         )
 
     nd, nl = s.noise_delta, s.noise_lambda
-    mean, sd = _inv_chisq_sqrt_moments(nd, nl)
     entries.append(
         (
             "sigma",
-            mean,
-            sd,
+            s.noise_sd_mean(),
+            s.noise_sd_sd(),
             lambda g: 2.0 * g * np.exp(inv_chisq_log_density(nd, nl, g * g)),
             np.sqrt(chain.sigma2),
         )
@@ -370,12 +345,11 @@ def _compare_entries(fit, chain, seed):
         # inverse-chi^2 with shape xi - 2q + 2
         dj = s.variance.xi - 2.0 * q + 2.0
         lj = float(s.variance.Lambda[j, j])
-        mean_j, sd_j = _inv_chisq_sqrt_moments(dj, lj)
         entries.append(
             (
                 f"sigma{j + 1}",
-                mean_j,
-                sd_j,
+                inv_chisq_sqrt_mean(dj, lj),
+                inv_chisq_sqrt_sd(dj, lj),
                 lambda g, d=dj, l=lj: 2.0 * g * np.exp(inv_chisq_log_density(d, l, g * g)),
                 np.sqrt(chain.Sigma[:, j, j]),
             )
@@ -478,23 +452,23 @@ def cmd_compare(args):
     return 0
 
 
+def _exit_code(exc) -> int:
+    """2 for input and validation errors, 3 for every other package error."""
+    if isinstance(exc, CommandError):
+        return exc.code
+    if isinstance(exc, (InvalidHyperparameter, DimensionMismatch, DomainError, OSError)):
+        return 2
+    return 3
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CommandError as exc:
+    except (CommandError, IGWVMPError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (InvalidHyperparameter, DimensionMismatch, DomainError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NotConverged as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (NumericalFailure, DivergentIntegral, ImproperMessage) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

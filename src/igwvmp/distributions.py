@@ -18,6 +18,7 @@ from scipy.special import digamma, gammaln, multigammaln
 
 from . import matops
 from .errors import (
+    DimensionMismatch,
     DivergentIntegral,
     DomainError,
     ImproperMessage,
@@ -40,11 +41,11 @@ __all__ = [
     "inv_chisq_sample",
     "inv_chisq_mean_inverse",
     "inv_chisq_mean_log",
+    "inv_chisq_sqrt_mean",
+    "inv_chisq_sqrt_sd",
     "NaturalMVN",
     "mvn_to_natural",
     "mvn_from_natural",
-    "gaussian_vec_to_vech",
-    "gaussian_vech_to_vec",
     "MoonRockParams",
     "moonrock_log_normalizer",
     "moonrock_normalizer",
@@ -139,7 +140,7 @@ class NaturalIGW:
         if not (self.eta1 < -1.0):
             raise ImproperMessage(f"eta1 must be < -1, got {self.eta1}")
         if self.graph is Graph.DIAG:
-            eta2 = _zero_offdiag_vech(eta2)
+            eta2 = matops.zero_offdiag_vech(eta2)
         Lam = implied_scale(eta2, self.dim)
         if self.graph is Graph.FULL:
             if not matops.is_spd(Lam):
@@ -162,24 +163,19 @@ class NaturalIGW:
         return np.concatenate(([self.eta1], self.eta2))
 
 
-def _zero_offdiag_vech(eta2: np.ndarray) -> np.ndarray:
-    M = matops.unvech(eta2)
-    return matops.vech(np.diag(np.diag(M)))
-
-
 def implied_scale(eta2: np.ndarray, d: int) -> np.ndarray:
     """The scale matrix Lambda = -2 vec^{-1}(D^{+T} eta2) encoded by eta2."""
-    Dp = matops.duplication_pinv(d)
-    M = matops.vec_inverse(Dp.T @ np.asarray(eta2, dtype=float), d)
-    return -2.0 * 0.5 * (M + M.T)
+    M = matops.unfold_vech(eta2)
+    if M.shape != (d, d):
+        raise DimensionMismatch(f"eta2 of length {np.size(eta2)} does not encode a {d} x {d} scale")
+    return -2.0 * M
 
 
 def igw_to_natural(p: CommonIGW) -> NaturalIGW:
     """Map (graph, xi, Lambda) to natural parameters."""
     d = p.dim
-    D = matops.duplication(d)
     eta1 = -(p.xi + 2.0) / 2.0
-    eta2 = -0.5 * (D.T @ matops.vec(p.Lambda))
+    eta2 = -0.5 * matops.fold_vech(p.Lambda)
     return NaturalIGW(p.graph, eta1, eta2, d)
 
 
@@ -203,10 +199,7 @@ def igw_mean_inverse(n: NaturalIGW) -> np.ndarray:
         raise ImproperMessage(
             f"E(X^-1) undefined: eta1 + omega = {n.eta1 + w} is not negative"
         )
-    Dp = matops.duplication_pinv(d)
-    M = matops.vec_inverse(Dp.T @ n.eta2, d)
-    M = 0.5 * (M + M.T)
-    out = (n.eta1 + w) * np.linalg.inv(M)
+    out = (n.eta1 + w) * np.linalg.inv(matops.unfold_vech(n.eta2))
     return 0.5 * (out + out.T)
 
 
@@ -321,6 +314,23 @@ def inv_chisq_mean_log(delta: float, lam: float) -> float:
     return float(np.log(lam / 2.0) - digamma(delta / 2.0))
 
 
+def inv_chisq_sqrt_mean(delta: float, lam: float) -> float:
+    """E(sqrt(x)) = sqrt(lambda/2) Gamma((delta-1)/2) / Gamma(delta/2); needs delta > 1."""
+    if delta <= 1:
+        raise DomainError("E(sigma) needs delta > 1")
+    return float(
+        np.exp(0.5 * np.log(lam / 2.0) + gammaln((delta - 1.0) / 2.0) - gammaln(delta / 2.0))
+    )
+
+
+def inv_chisq_sqrt_sd(delta: float, lam: float) -> float:
+    """sd(sqrt(x)) from E(x) = lambda/(delta-2) and E(sqrt(x)); needs delta > 2."""
+    if delta <= 2:
+        raise DomainError("sd(sigma) needs delta > 2")
+    second = lam / (delta - 2.0)
+    return float(np.sqrt(max(second - inv_chisq_sqrt_mean(delta, lam) ** 2, 0.0)))
+
+
 # ---------------------------------------------------------------------------
 # Multivariate normal, natural form
 # ---------------------------------------------------------------------------
@@ -365,40 +375,19 @@ def mvn_to_natural(mu: np.ndarray, Sigma: np.ndarray) -> NaturalMVN:
     Sigma = np.atleast_2d(np.asarray(Sigma, dtype=float))
     if not matops.is_spd(Sigma):
         raise NonSPDPrecision("covariance must be SPD")
-    k = mu.size
     P = np.linalg.inv(Sigma)
     P = 0.5 * (P + P.T)
-    D = matops.duplication(k)
-    return NaturalMVN(P @ mu, -0.5 * (D.T @ matops.vec(P)))
+    return NaturalMVN(P @ mu, -0.5 * matops.fold_vech(P))
 
 
 def mvn_from_natural(n: NaturalMVN):
     """Recover (mu, Sigma): Sigma = -{vec^{-1}(D^{+T} eta2)}^{-1}/2, mu = Sigma eta1."""
-    k = n.dim
-    Dp = matops.duplication_pinv(k)
-    M = matops.vec_inverse(Dp.T @ n.eta2, k)
-    P = -2.0 * 0.5 * (M + M.T)
+    P = -2.0 * matops.unfold_vech(n.eta2)
     if not matops.is_spd(P):
         raise NonSPDPrecision("natural vector implies a non-SPD precision")
     Sigma = np.linalg.inv(P)
     Sigma = 0.5 * (Sigma + Sigma.T)
     return Sigma @ n.eta1, Sigma
-
-
-def gaussian_vech_to_vec(eta: np.ndarray, k: int) -> np.ndarray:
-    """Map a vech-form Gaussian natural vector to vec form via
-    blockdiag(I_k, D_k^{+T})."""
-    eta = np.asarray(eta, dtype=float)
-    Dp = matops.duplication_pinv(k)
-    return np.concatenate((eta[:k], Dp.T @ eta[k:]))
-
-
-def gaussian_vec_to_vech(eta: np.ndarray, k: int) -> np.ndarray:
-    """Map a vec-form Gaussian natural vector to vech form via
-    blockdiag(I_k, D_k^T)."""
-    eta = np.asarray(eta, dtype=float)
-    D = matops.duplication(k)
-    return np.concatenate((eta[:k], D.T @ eta[k:]))
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,10 @@ from . import matops
 from .distributions import (
     CommonIGW,
     Graph,
-    NaturalIGW,
-    igw_mean_inverse,
     igw_to_natural,
     omega,
 )
-from .errors import ImproperMessage, InvalidShape, NonSPDScale
+from .errors import ImproperMessage, InvalidShape
 
 __all__ = [
     "IGWMessage",
@@ -70,24 +68,37 @@ def canonical_eta(eta: np.ndarray, graph: Graph) -> np.ndarray:
     eta = np.asarray(eta, dtype=float)
     if graph is Graph.FULL:
         return eta
-    out = eta.copy()
-    M = matops.unvech(out[1:])
-    out[1:] = matops.vech(np.diag(np.diag(M)))
-    return out
+    return np.concatenate((eta[:1], matops.zero_offdiag_vech(eta[1:])))
 
 
 def combined_mean_inverse(eta: np.ndarray, graph: Graph) -> np.ndarray:
     """E(X^{-1}) under the density a combined node message represents.
 
-    Raises ImproperMessage when the combined vector does not describe a
-    distribution with a finite mean inverse.
+    The moment formula is applied to the raw vector, which need not itself
+    be a proper density (its eta1 can sit between -d and -1 for the full
+    graph). Raises ImproperMessage when the vector does not give a finite,
+    positive definite mean inverse.
     """
     eta = np.asarray(eta, dtype=float)
+    d = matops.dim_from_vech_len(eta.size - 1)
+    w = omega(graph, d)
+    if not (eta[0] < -1.0):
+        raise ImproperMessage(f"combined eta1 must be < -1, got {eta[0]}")
+    if not (eta[0] + w < 0.0):
+        raise ImproperMessage(
+            f"mean inverse undefined: eta1 + omega = {eta[0] + w} is not negative"
+        )
     try:
-        n = NaturalIGW.from_vector(graph, eta)
-    except NonSPDScale as e:
-        raise ImproperMessage(f"combined message is improper: {e}") from e
-    return igw_mean_inverse(n)
+        E = (eta[0] + w) * np.linalg.inv(matops.unfold_vech(eta[1:]))
+    except np.linalg.LinAlgError as e:
+        raise ImproperMessage(f"combined message has a singular scale: {e}") from e
+    E = 0.5 * (E + E.T)
+    if graph is Graph.FULL:
+        if not matops.is_spd(E):
+            raise ImproperMessage("combined message implies a non-SPD mean inverse")
+    elif np.any(np.diag(E) <= 0.0):
+        raise ImproperMessage("combined message implies a non-positive mean inverse")
+    return E
 
 
 def igw_prior_update(prior: CommonIGW) -> IGWMessage:
@@ -99,29 +110,6 @@ def igw_prior_update(prior: CommonIGW) -> IGWMessage:
     return IGWMessage(canonical_eta(n.to_vector(), prior.graph), prior.graph)
 
 
-def _mean_inverse_raw(eta: np.ndarray, graph: Graph, d: int) -> np.ndarray:
-    # the moment formula applied to a combined message that need not itself be
-    # a proper density (its eta1 can sit between -d and -1 for the full graph)
-    w = omega(graph, d)
-    if not (eta[0] < -1.0):
-        raise ImproperMessage(f"combined eta1 must be < -1, got {eta[0]}")
-    if not (eta[0] + w < 0.0):
-        raise ImproperMessage(
-            f"mean inverse undefined: eta1 + omega = {eta[0] + w} is not negative"
-        )
-    Dp = matops.duplication_pinv(d)
-    M = matops.vec_inverse(Dp.T @ eta[1:], d)
-    M = 0.5 * (M + M.T)
-    E = (eta[0] + w) * np.linalg.inv(M)
-    E = 0.5 * (E + E.T)
-    if graph is Graph.FULL:
-        if not matops.is_spd(E):
-            raise ImproperMessage("combined message implies a non-SPD mean inverse")
-    elif np.any(np.diag(E) <= 0.0):
-        raise ImproperMessage("combined message implies a non-positive mean inverse")
-    return E
-
-
 def iterated_igw_update(
     graph: Graph,
     xi: float,
@@ -129,7 +117,6 @@ def iterated_igw_update(
     from_variance: np.ndarray,
     to_auxiliary: np.ndarray,
     from_auxiliary: IGWMessage,
-    crossed: bool = True,
 ) -> IteratedIGWResult:
     """Update for a factor of the form p(Sigma | A) = IGW(graph, xi, A^{-1}).
 
@@ -143,10 +130,8 @@ def iterated_igw_update(
     documented initial messages this keeps every combined vector proper from
     the first sweep, which a simultaneous update does not.
 
-    ``crossed`` selects which edge's graph controls the conditional
-    diagonal projection of each expectation (True: the opposite edge's).
-    Because diag-tagged vectors are kept canonical, both settings produce
-    identical messages; the flag exists so that tests can document this.
+    Each expectation is projected onto the diagonal when the opposite edge
+    carries the diagonal graph.
     """
     aux_graph = from_auxiliary.graph
     to_variance = np.asarray(to_variance, dtype=float)
@@ -160,21 +145,20 @@ def iterated_igw_update(
 
     both_auxiliary = canonical_eta(to_auxiliary + from_auxiliary.eta, aux_graph)
 
-    mean_inv_aux = _mean_inverse_raw(both_auxiliary, aux_graph, d)
-    if (graph if crossed else aux_graph) is Graph.DIAG:
+    mean_inv_aux = combined_mean_inverse(both_auxiliary, aux_graph)
+    if graph is Graph.DIAG:
         mean_inv_aux = np.diag(np.diag(mean_inv_aux))
-    D = matops.duplication(d)
     eta_to_variance = np.concatenate(
-        ([-(xi + 2.0) / 2.0], -0.5 * (D.T @ matops.vec(mean_inv_aux)))
+        ([-(xi + 2.0) / 2.0], -0.5 * matops.fold_vech(mean_inv_aux))
     )
 
     both_variance = canonical_eta(eta_to_variance + from_variance, graph)
     w2 = omega(graph, d)
-    mean_inv_var = _mean_inverse_raw(both_variance, graph, d)
-    if (aux_graph if crossed else graph) is Graph.DIAG:
+    mean_inv_var = combined_mean_inverse(both_variance, graph)
+    if aux_graph is Graph.DIAG:
         mean_inv_var = np.diag(np.diag(mean_inv_var))
     eta_to_auxiliary = np.concatenate(
-        ([-(xi + 2.0 - 2.0 * w2) / 2.0], -0.5 * (D.T @ matops.vec(mean_inv_var)))
+        ([-(xi + 2.0 - 2.0 * w2) / 2.0], -0.5 * matops.fold_vech(mean_inv_var))
     )
 
     return IteratedIGWResult(
@@ -212,18 +196,14 @@ def gaussian_penalization_update(
         [np.eye(n_fixed) / sigma_beta**2]
         + [mean_inv_variance for _ in range(n_groups)]
     )
-    Dk = matops.duplication(k)
-    to_coefficients = np.concatenate(
-        (np.zeros(k), -0.5 * (Dk.T @ matops.vec(precision)))
-    )
+    to_coefficients = np.concatenate((np.zeros(k), -0.5 * matops.fold_vech(precision)))
 
     S = np.zeros((q, q))
     for i in range(n_groups):
         sl = slice(n_fixed + i * q, n_fixed + (i + 1) * q)
         mu_i = mean_coeffs[sl]
         S += np.outer(mu_i, mu_i) + cov_coeffs[sl, sl]
-    Dq = matops.duplication(q)
-    eta_var = np.concatenate(([-n_groups / 2.0], -0.5 * (Dq.T @ matops.vec(S))))
+    eta_var = np.concatenate(([-n_groups / 2.0], -0.5 * matops.fold_vech(S)))
     return GaussianPenalizationResult(
         to_coefficients, IGWMessage(eta_var, Graph.FULL)
     )
@@ -256,11 +236,9 @@ def t_likelihood_update(
     mean_log_b = np.log(b_rates / 2.0) - digamma(b_shape / 2.0)
 
     W = mean_inv_b
-    k = mean_coeffs.size
-    Dk = matops.duplication(k)
     CtW = C.T * W
     to_coefficients = np.concatenate(
-        (mean_inv_noise * (CtW @ y), -0.5 * mean_inv_noise * (Dk.T @ matops.vec(CtW @ C)))
+        (mean_inv_noise * (CtW @ y), -0.5 * mean_inv_noise * matops.fold_vech(CtW @ C))
     )
     to_noise = IGWMessage(
         np.array([-n / 2.0, -0.5 * float(np.sum(mean_inv_b * r))]), Graph.FULL

@@ -127,7 +127,7 @@ class FactorGraph:
             total = total + self.factor_to_node(f.name, node).eta
         return Message(total, spec.tag)
 
-    def combined(self, node: str) -> Message:
+    def q_star(self, node: str) -> Message:
         """Sum of all factor-to-node messages into ``node``; the natural
         vector of the current posterior approximation on it."""
         spec = self.nodes[node]
@@ -135,9 +135,6 @@ class FactorGraph:
         for f in self.incident_factors(node):
             total = total + self.factor_to_node(f.name, node).eta
         return Message(total, spec.tag)
-
-    # q_star is the extraction entry point; combined is the implementation
-    q_star = combined
 
     def _snapshot(self):
         return {k: v.eta for k, v in self._store.items()}
@@ -166,7 +163,7 @@ class FactorGraph:
                 delta = np.max(np.abs(new - old) / (np.abs(old) + 1e-10))
                 change = max(change, float(delta))
             changes.append(change)
-            logger.info(f"{iteration} {change:.5e}")
+            logger.info("%d %.5e", iteration, change)
             if change < tol:
                 return ConvergenceReport(True, iteration, change, tol, tuple(changes))
         return ConvergenceReport(False, iteration, change, tol, tuple(changes))

@@ -10,8 +10,11 @@ Conventions used throughout the package:
 
   which satisfies D_d vech(A) = vec(A) for every symmetric A.
 
-Duplication matrices and their Moore-Penrose inverses are cached per
-dimension; construction is idempotent so concurrent first use is safe.
+The two maps the natural-parameter wire convention needs, D_d^T vec(A) and
+vec^{-1}(D_d^{+T} eta), are pure index arithmetic on the vech positions
+(``fold_vech`` and ``unfold_vech``), so no d^2 x d(d+1)/2 matrix is built
+while fitting. The dense duplication matrices and their Moore-Penrose
+inverses are kept as the test oracle for those maps.
 """
 
 from functools import lru_cache
@@ -25,6 +28,9 @@ __all__ = [
     "vec_inverse",
     "vech",
     "unvech",
+    "fold_vech",
+    "unfold_vech",
+    "zero_offdiag_vech",
     "duplication",
     "duplication_pinv",
     "is_spd",
@@ -102,6 +108,46 @@ def unvech(v: np.ndarray) -> np.ndarray:
     M[rows, cols] = v
     M[cols, rows] = v
     return M
+
+
+@lru_cache(maxsize=None)
+def _vech_diag_positions(d: int):
+    rows, cols = _vech_lower_indices(d)
+    pos = np.flatnonzero(rows == cols)
+    pos.flags.writeable = False
+    return pos
+
+
+def fold_vech(A: np.ndarray) -> np.ndarray:
+    """D_d^T vec(A) without forming D_d: vech(A + A^T) with the diagonal
+    entries taken once. ``A`` need not be symmetric."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise DimensionMismatch(f"fold_vech expects a square matrix, got shape {A.shape}")
+    d = A.shape[0]
+    rows, cols = _vech_lower_indices(d)
+    out = A[rows, cols] + A[cols, rows]
+    out[_vech_diag_positions(d)] = np.diagonal(A)
+    return out
+
+
+def unfold_vech(eta: np.ndarray) -> np.ndarray:
+    """vec^{-1}(D_d^{+T} eta) without forming D_d^+: unvech(eta) with the
+    off-diagonal entries halved."""
+    eta = np.asarray(eta, dtype=float)
+    diag = _vech_diag_positions(dim_from_vech_len(eta.size))
+    half = 0.5 * eta
+    half[diag] = eta[diag]
+    return unvech(half)
+
+
+def zero_offdiag_vech(v: np.ndarray) -> np.ndarray:
+    """vech(diag(diag(unvech(v)))): ``v`` with its off-diagonal entries zeroed."""
+    v = np.asarray(v, dtype=float)
+    out = np.zeros_like(v)
+    diag = _vech_diag_positions(dim_from_vech_len(v.size))
+    out[diag] = v[diag]
+    return out
 
 
 def _tri_index(i: int, j: int, d: int) -> int:

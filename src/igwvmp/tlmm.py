@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import fragments as fr
 from . import matops
@@ -24,6 +23,8 @@ from .distributions import (
     NaturalMVN,
     igw_from_natural,
     implied_scale,
+    inv_chisq_sqrt_mean,
+    inv_chisq_sqrt_sd,
     moonrock_log_density,
     moonrock_mean,
     moonrock_quantile,
@@ -363,18 +364,10 @@ class PosteriorSummary:
 
     def noise_sd_mean(self) -> float:
         """E(sigma) for sigma^2 scaled inverse chi-squared."""
-        d, lam = self.noise_delta, self.noise_lambda
-        if d <= 1:
-            raise DomainError("E(sigma) needs delta > 1")
-        return float(
-            np.exp(0.5 * np.log(lam / 2.0) + gammaln((d - 1.0) / 2.0) - gammaln(d / 2.0))
-        )
+        return inv_chisq_sqrt_mean(self.noise_delta, self.noise_lambda)
 
     def noise_sd_sd(self) -> float:
-        if self.noise_delta <= 2:
-            raise DomainError("sd(sigma) needs delta > 2")
-        second = self.noise_lambda / (self.noise_delta - 2.0)
-        return float(np.sqrt(max(second - self.noise_sd_mean() ** 2, 0.0)))
+        return inv_chisq_sqrt_sd(self.noise_delta, self.noise_lambda)
 
     def df_mean(self) -> float:
         return 2.0 * moonrock_mean(self.df_half)
@@ -383,21 +376,23 @@ class PosteriorSummary:
         return 2.0 * float(np.sqrt(moonrock_variance(self.df_half)))
 
     def to_dict(self) -> dict:
+        """The posterior in the ``fit-vmp`` JSON schema."""
         return {
+            "iterations": self.report.iterations,
+            "final_change": self.report.final_change,
             "names": list(self.names),
-            "coefficient_mean": self.coefficient_mean.tolist(),
-            "coefficient_cov": self.coefficient_cov.tolist(),
-            "variance": {
+            "beta_u": {
+                "mean": self.coefficient_mean.tolist(),
+                "cov": self.coefficient_cov.tolist(),
+            },
+            "sigma2": {"delta": self.noise_delta, "lambda": self.noise_lambda},
+            "Sigma": {
                 "xi": self.variance.xi,
                 "Lambda": self.variance.Lambda.tolist(),
                 "kappa": self.variance_kappa,
             },
-            "noise": {"delta": self.noise_delta, "lambda": self.noise_lambda},
-            "df_half": {"alpha": self.df_half.alpha, "beta": self.df_half.beta},
-            "nu_grid": self.nu_grid.tolist(),
-            "nu_density": self.nu_density.tolist(),
-            "iterations": self.report.iterations,
-            "final_change": self.report.final_change,
+            "upsilon": {"alpha": self.df_half.alpha, "beta": self.df_half.beta},
+            "nu_density": {"grid": self.nu_grid.tolist(), "values": self.nu_density.tolist()},
         }
 
 
@@ -423,10 +418,8 @@ def initial_messages(hyper: TLMMHyper, n_fixed: int, n_random: int, n_groups: in
     k = p + m * q
     plan_cov = plan_prior(HuangWandSpec(scales=hyper.random_scales))
     plan_noise = plan_prior(HalfCauchySpec(scale=hyper.noise_scale))
-    Dq = matops.duplication(q)
-    Dk = matops.duplication(k)
-    igw_init = np.concatenate(([-0.5], -0.5 * (Dq.T @ matops.vec(np.eye(q)))))
-    gauss_init = np.concatenate((np.zeros(k), -0.5 * (Dk.T @ matops.vec(np.eye(k)))))
+    igw_init = np.concatenate(([-0.5], -0.5 * matops.fold_vech(np.eye(q))))
+    gauss_init = np.concatenate((np.zeros(k), -0.5 * matops.fold_vech(np.eye(k))))
     cov_msg = fr.igw_prior_update(plan_cov.prior_factor)
     noise_msg = fr.igw_prior_update(plan_noise.prior_factor)
     scalar_init = np.array([-2.0, -1.0])

@@ -173,6 +173,17 @@ def test_fit_vmp_not_converged(small_csv, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_fit_vmp_numerical_failure_exit_code(tmp_path, capsys):
+    # noise-free responses drive the coefficient precision non-SPD; the
+    # typed NonSPDPrecision must map to exit code 3, not a traceback
+    data, _ = tlmm.simulate(seed=1, noise_variance=0)
+    path = tmp_path / "zero_noise.csv"
+    write_data_csv(path, data)
+    rc = main(["fit-vmp", "--input", str(path), "--output", str(tmp_path / "z.json")])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # fit-mcmc
 # ---------------------------------------------------------------------------

@@ -283,24 +283,6 @@ class TestNaturalMVN:
         assert_allclose(n.eta1, [1.0, 2.0])
         assert_allclose(n.eta2, [-0.25, 0.0, -0.125])
 
-    def test_vec_vech_conversions_invert(self):
-        rng = np.random.default_rng(37)
-        k = 3
-        n = dist.mvn_to_natural(rng.standard_normal(k), random_spd(k, rng))
-        eta = n.to_vector()
-        assert_allclose(
-            dist.gaussian_vec_to_vech(dist.gaussian_vech_to_vec(eta, k), k), eta
-        )
-
-    def test_vec_form_matches_precision(self):
-        k = 2
-        Sig = np.array([[2.0, 0.5], [0.5, 1.0]])
-        P = np.linalg.inv(Sig)
-        eta = dist.mvn_to_natural(np.zeros(k), Sig).to_vector()
-        assert_allclose(
-            dist.gaussian_vech_to_vec(eta, k)[k:], -0.5 * matops.vec(P), rtol=1e-12
-        )
-
     def test_nonspd_rejected(self):
         with pytest.raises(NonSPDPrecision):
             dist.mvn_to_natural(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))

@@ -86,41 +86,6 @@ class TestIteratedFragment:
         assert np.max(np.abs(res.to_variance.eta - [-3.0, -2.5, 0.0, -2.5])) < 1e-14
         assert np.max(np.abs(res.to_auxiliary.eta[1:] - [-2.5, 0.0, -2.5])) < 1e-14
 
-    @pytest.mark.parametrize(
-        "graph,aux_graph",
-        [
-            (Graph.FULL, Graph.DIAG),
-            (Graph.FULL, Graph.FULL),
-            (Graph.DIAG, Graph.FULL),
-            (Graph.DIAG, Graph.DIAG),
-        ],
-    )
-    def test_diag_projection_patterns_coincide(self, graph, aux_graph):
-        # with canonical diag-tagged vectors, conditioning each projection on
-        # the opposite edge's graph or on its own produces the same messages
-        rng = np.random.default_rng(17)
-        d = 2
-        A = rng.standard_normal((d, d))
-        Lam_v = A @ A.T + d * np.eye(d)
-        B = rng.standard_normal((d, d))
-        Lam_a = B @ B.T + d * np.eye(d)
-        xi = 2 * d if graph is Graph.FULL else 1.5
-        args = dict(
-            to_variance=fr.canonical_eta(natural_of(2 * d + 1.0, Lam_v), graph) / 2,
-            from_variance=fr.canonical_eta(natural_of(2 * d + 1.0, Lam_v), graph) / 2,
-            to_auxiliary=fr.canonical_eta(natural_of(2 * d + 2.0, Lam_a), aux_graph) / 2,
-            from_auxiliary=fr.IGWMessage(
-                fr.canonical_eta(natural_of(2 * d + 2.0, Lam_a), aux_graph) / 2,
-                aux_graph,
-            ),
-        )
-        res_c = fr.iterated_igw_update(graph, xi, crossed=True, **args)
-        res_d = fr.iterated_igw_update(graph, xi, crossed=False, **args)
-        assert_allclose(res_c.to_variance.eta, res_d.to_variance.eta, atol=0)
-        assert_allclose(res_c.to_auxiliary.eta, res_d.to_auxiliary.eta, atol=0)
-        assert res_c.to_variance.graph is graph
-        assert res_c.to_auxiliary.graph is aux_graph
-
     def test_improper_combined_raises(self):
         # the refreshed variance message has eta1 = -1.5; the incoming +0.5
         # drives the combined eta1 to -1, outside the proper range

@@ -79,22 +79,17 @@ class TestMessageAlgebra:
     def test_missing_message_raises(self):
         graph, _ = conjugate_toy()
         with pytest.raises(MissingMessage):
-            graph.combined("noise")
+            graph.q_star("noise")
 
     def test_combined_is_sum(self):
         graph, y = conjugate_toy()
         graph.sweep()
-        q = graph.combined("noise")
+        q = graph.q_star("noise")
         assert_allclose(
             q.eta,
             [-(3.0 + 2.0) / 2.0 - y.size / 2.0, -2.5 - 0.5 * np.sum(y**2)],
         )
         assert q.graph is Graph.FULL
-
-    def test_q_star_aliases_combined(self):
-        graph, _ = conjugate_toy()
-        graph.sweep()
-        assert_allclose(graph.q_star("noise").eta, graph.combined("noise").eta)
 
 
 class TestRun:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from igwvmp import matops
 from igwvmp.errors import AsymmetricInput, DimensionMismatch
@@ -90,6 +90,37 @@ def test_duplication_pinv_is_moore_penrose(d):
 def test_duplication_pinv_left_inverse(d):
     Dp = matops.duplication_pinv(d)
     assert_allclose(Dp @ matops.duplication(d), np.eye(matops.vech_len(d)), atol=0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_fold_vech_equals_duplication_product(d):
+    # non-symmetric input: a product like C^T W C is only symmetric to rounding
+    A = np.random.default_rng(d).standard_normal((d, d))
+    assert_array_equal(matops.fold_vech(A), matops.duplication(d).T @ matops.vec(A))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_unfold_vech_equals_duplication_pinv_product(d):
+    eta = np.random.default_rng(d).standard_normal(matops.vech_len(d))
+    expected = matops.vec_inverse(matops.duplication_pinv(d).T @ eta, d)
+    assert_array_equal(matops.unfold_vech(eta), expected)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_zero_offdiag_vech_equals_duplication_oracle(d):
+    v = np.random.default_rng(d).standard_normal(matops.vech_len(d))
+    M = matops.vec_inverse(matops.duplication(d) @ v, d)
+    expected = matops.duplication_pinv(d) @ matops.vec(np.diag(np.diag(M)))
+    assert_array_equal(matops.zero_offdiag_vech(v), expected)
+
+
+def test_fit_builds_no_duplication_matrix():
+    from igwvmp import tlmm
+
+    data, _ = tlmm.simulate(seed=3, n_groups=4, group_size=6)
+    matops.duplication.cache_clear()
+    tlmm.fit(data)
+    assert matops.duplication.cache_info().currsize == 0
 
 
 def test_duplication_cached_and_read_only():

@@ -291,8 +291,8 @@ def test_summary_to_dict_is_json_ready(example_fit):
     _, _, res = example_fit
     blob = json.loads(json.dumps(res.summary.to_dict()))
     assert blob["names"][2] == "u[1,0]"
-    assert blob["noise"]["delta"] > 0
-    assert len(blob["nu_grid"]) == len(blob["nu_density"]) == 401
+    assert blob["sigma2"]["delta"] > 0
+    assert len(blob["nu_density"]["grid"]) == len(blob["nu_density"]["values"]) == 401
 
 
 def test_extra_sweep_after_convergence_is_stable(small_data):
