@@ -10,11 +10,11 @@ error, 3 non-convergence or numerical failure.
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import gaussian_kde
 
 from . import mcmc, tlmm
 from .distributions import (
@@ -88,6 +88,8 @@ def read_data_csv(path) -> tlmm.TLMMData:
             xs.append(float(row[2]))
         except ValueError as exc:
             raise CommandError(f"{path}: line {lineno}: {exc}")
+        if not (math.isfinite(ys[-1]) and math.isfinite(xs[-1])):
+            raise CommandError(f"{path}: line {lineno}: y and x1 must be finite numbers")
     try:
         return tlmm.TLMMData(
             np.array(ys, dtype=float), np.array(xs, dtype=float), np.array(groups, dtype=int)
@@ -248,11 +250,17 @@ def cmd_fit_vmp(args):
 
 
 def _mcmc_payload(chain, summary, args):
-    q = chain.Sigma.shape[-1]
-    delta, lam = mcmc.match_inv_chisq(chain.sigma2)
-    variance = mcmc.match_igw_full(chain.Sigma)
-    ups = mcmc.match_moonrock(chain.nu / 2.0)
-    nu_summary = summary.parameters["nu"]
+    """The ``fit-mcmc`` keys around the shared posterior block, whose
+    parametric families are moment-matched to the chain."""
+    block = tlmm.posterior_block(
+        chain.names,
+        chain.coefficients.mean(axis=0),
+        np.cov(chain.coefficients.T),
+        mcmc.match_inv_chisq(chain.sigma2),
+        mcmc.match_igw_full(chain.Sigma),
+        mcmc.match_moonrock(chain.nu / 2.0),
+        mcmc.kde_density(chain.nu),
+    )
     return {
         "method": "mcmc",
         "converged": summary.converged,
@@ -260,19 +268,7 @@ def _mcmc_payload(chain, summary, args):
         "warmup": args.warmup,
         "kept": args.kept,
         "seed": args.seed,
-        "names": list(chain.names),
-        "beta_u": {
-            "mean": chain.coefficients.mean(axis=0).tolist(),
-            "cov": np.cov(chain.coefficients.T).tolist(),
-        },
-        "sigma2": {"delta": delta, "lambda": lam},
-        "Sigma": {
-            "xi": variance.xi,
-            "Lambda": variance.Lambda.tolist(),
-            "kappa": variance.xi - q + 1.0,
-        },
-        "upsilon": {"alpha": ups.alpha, "beta": ups.beta},
-        "nu_density": {"grid": nu_summary.grid.tolist(), "values": nu_summary.density.tolist()},
+        **block,
         "split_half_z": {name: p.split_z for name, p in summary.parameters.items()},
     }
 
@@ -309,10 +305,10 @@ def _normal_pdf(grid, mu, sd):
     return np.exp(-0.5 * z * z) / (sd * np.sqrt(2.0 * np.pi))
 
 
-def _compare_entries(fit, chain, seed):
-    """(name, vmp mean, vmp sd, vmp density callable, chain draws) per
-    reported parameter: fixed effects, the first two groups' random
-    effects, the noise and covariance scales, and the degrees of freedom."""
+def _compare_entries(fit, seed):
+    """(name, vmp mean, vmp sd, vmp density callable) per reported
+    parameter: fixed effects, the first two groups' random effects, the
+    noise and covariance scales, and the degrees of freedom."""
     s = fit.summary
     names = list(s.names)
     q = s.variance.dim
@@ -325,33 +321,20 @@ def _compare_entries(fit, chain, seed):
     for nm in targets:
         i = names.index(nm)
         mu, sd = float(s.coefficient_mean[i]), float(s.coefficient_sd[i])
-        entries.append(
-            (nm, mu, sd, lambda g, mu=mu, sd=sd: _normal_pdf(g, mu, sd), chain.coefficients[:, i])
-        )
+        entries.append((nm, mu, sd, lambda g, mu=mu, sd=sd: _normal_pdf(g, mu, sd)))
 
-    nd, nl = s.noise_delta, s.noise_lambda
-    entries.append(
-        (
-            "sigma",
-            s.noise_sd_mean(),
-            s.noise_sd_sd(),
-            lambda g: 2.0 * g * np.exp(inv_chisq_log_density(nd, nl, g * g)),
-            np.sqrt(chain.sigma2),
-        )
-    )
-
-    for j in range(q):
-        # the diagonal marginal of the covariance posterior is scalar
-        # inverse-chi^2 with shape xi - 2q + 2
-        dj = s.variance.xi - 2.0 * q + 2.0
-        lj = float(s.variance.Lambda[j, j])
+    # sigma^2 is inverse-chi^2, and so is each diagonal marginal of the
+    # covariance posterior, with shape xi - 2q + 2
+    shape = s.variance.xi - 2.0 * q + 2.0
+    variances = [("sigma", s.noise_delta, s.noise_lambda)]
+    variances += [(f"sigma{j + 1}", shape, float(s.variance.Lambda[j, j])) for j in range(q)]
+    for nm, d, l in variances:
         entries.append(
             (
-                f"sigma{j + 1}",
-                inv_chisq_sqrt_mean(dj, lj),
-                inv_chisq_sqrt_sd(dj, lj),
-                lambda g, d=dj, l=lj: 2.0 * g * np.exp(inv_chisq_log_density(d, l, g * g)),
-                np.sqrt(chain.Sigma[:, j, j]),
+                nm,
+                inv_chisq_sqrt_mean(d, l),
+                inv_chisq_sqrt_sd(d, l),
+                lambda g, d=d, l=l: 2.0 * g * np.exp(inv_chisq_log_density(d, l, g * g)),
             )
         )
 
@@ -360,11 +343,8 @@ def _compare_entries(fit, chain, seed):
         draws = igw_sample(s.variance, rng, size=4000)
         sds = np.sqrt(draws[:, [0, 1], [0, 1]])
         rho_v = draws[:, 0, 1] / (sds[:, 0] * sds[:, 1])
-        kde = gaussian_kde(rho_v, bw_method="silverman")
-        rho_m = chain.Sigma[:, 0, 1] / np.sqrt(chain.Sigma[:, 0, 0] * chain.Sigma[:, 1, 1])
-        entries.append(
-            ("rho", float(np.mean(rho_v)), float(np.std(rho_v, ddof=1)), kde, rho_m)
-        )
+        mean_v, sd_v = float(np.mean(rho_v)), float(np.std(rho_v, ddof=1))
+        entries.append(("rho", mean_v, sd_v, lambda g: mcmc.kde_density(rho_v, g)[1]))
 
     entries.append(
         (
@@ -372,7 +352,6 @@ def _compare_entries(fit, chain, seed):
             s.df_mean(),
             s.df_sd(),
             lambda g: 0.5 * np.exp(moonrock_log_density(s.df_half, g / 2.0)),
-            chain.nu,
         )
     )
     return entries
@@ -401,18 +380,16 @@ def cmd_compare(args):
         data, hyper, mcmc.GibbsConfig(args.warmup, args.kept, args.seed), args.design
     )
     chain_summary = mcmc.summarize(chain)
+    series = mcmc.chain_series(chain)
 
     out = Path(args.output)
     stem = out.parent / out.stem
     table = {}
-    for name, vmp_mean, vmp_sd, vmp_density, draws in _compare_entries(fit, chain, args.seed):
+    for name, vmp_mean, vmp_sd, vmp_density in _compare_entries(fit, args.seed):
+        draws = series[name]
         grid = _aligned_grid(name, vmp_mean, vmp_sd, draws)
         q_vmp = np.asarray(vmp_density(grid), dtype=float)
-        spread = float(np.std(draws))
-        if spread == 0.0:
-            q_mcmc = np.zeros_like(grid)
-        else:
-            q_mcmc = gaussian_kde(draws, bw_method="silverman")(grid)
+        _, q_mcmc = mcmc.kde_density(draws, grid)
         accuracy = density_accuracy(grid, q_vmp, q_mcmc)
         csv_path = Path(f"{stem}_density_{_safe_name(name)}.csv")
         try:

@@ -35,6 +35,7 @@ __all__ = [
     "igw_to_natural",
     "igw_from_natural",
     "igw_mean_inverse",
+    "combined_mean_inverse",
     "igw_log_density",
     "igw_sample",
     "inv_chisq_log_density",
@@ -186,21 +187,42 @@ def igw_from_natural(n: NaturalIGW) -> CommonIGW:
     return CommonIGW(n.graph, xi, Lam)
 
 
-def igw_mean_inverse(n: NaturalIGW) -> np.ndarray:
-    """E(X^{-1}) from natural parameters.
+def combined_mean_inverse(eta: np.ndarray, graph: Graph) -> np.ndarray:
+    """E(X^{-1}) = {eta1 + omega} {vec^{-1}(D^{+T} eta2)}^{-1} for a stacked
+    (eta1, eta2) vector, with omega = (d+1)/2 for the full graph and 1 for
+    diag; the closed forms are (xi - d + 1) Lambda^{-1} (full) and
+    xi diag(1/Lambda_jj) (diag).
 
-    Equals {eta1 + omega} {vec^{-1}(D^{+T} eta2)}^{-1} with omega = (d+1)/2
-    for the full graph and 1 for diag; the closed forms are
-    (xi - d + 1) Lambda^{-1} (full) and xi diag(1/Lambda_jj) (diag).
+    The formula is applied to the raw vector, which need not itself be a
+    proper density (a combined node message can have eta1 between -d and -1
+    for the full graph). Raises ImproperMessage when the vector does not
+    give a finite, positive definite mean inverse.
     """
-    d = n.dim
-    w = omega(n.graph, d)
-    if not (n.eta1 + w < 0):
+    eta = np.asarray(eta, dtype=float)
+    d = matops.dim_from_vech_len(eta.size - 1)
+    w = omega(graph, d)
+    if not (eta[0] < -1.0):
+        raise ImproperMessage(f"combined eta1 must be < -1, got {eta[0]}")
+    if not (eta[0] + w < 0.0):
         raise ImproperMessage(
-            f"E(X^-1) undefined: eta1 + omega = {n.eta1 + w} is not negative"
+            f"mean inverse undefined: eta1 + omega = {eta[0] + w} is not negative"
         )
-    out = (n.eta1 + w) * np.linalg.inv(matops.unfold_vech(n.eta2))
-    return 0.5 * (out + out.T)
+    try:
+        E = (eta[0] + w) * np.linalg.inv(matops.unfold_vech(eta[1:]))
+    except np.linalg.LinAlgError as e:
+        raise ImproperMessage(f"combined message has a singular scale: {e}") from e
+    E = 0.5 * (E + E.T)
+    if graph is Graph.FULL:
+        if not matops.is_spd(E):
+            raise ImproperMessage("combined message implies a non-SPD mean inverse")
+    elif np.any(np.diag(E) <= 0.0):
+        raise ImproperMessage("combined message implies a non-positive mean inverse")
+    return E
+
+
+def igw_mean_inverse(n: NaturalIGW) -> np.ndarray:
+    """E(X^{-1}) from natural parameters; see ``combined_mean_inverse``."""
+    return combined_mean_inverse(n.to_vector(), n.graph)
 
 
 def igw_log_density(p: CommonIGW, X: np.ndarray) -> float:
@@ -304,14 +326,15 @@ def inv_chisq_sample(delta: float, lam: float, rng, size=None):
     return lam / rng.chisquare(delta, size)
 
 
-def inv_chisq_mean_inverse(delta: float, lam: float) -> float:
-    """E(1/x) = delta/lambda (1/x is Gamma(delta/2, rate lambda/2))."""
+def inv_chisq_mean_inverse(delta, lam):
+    """E(1/x) = delta/lambda (1/x is Gamma(delta/2, rate lambda/2)); broadcasts."""
     return delta / lam
 
 
-def inv_chisq_mean_log(delta: float, lam: float) -> float:
-    """E(log x) = log(lambda/2) - digamma(delta/2)."""
-    return float(np.log(lam / 2.0) - digamma(delta / 2.0))
+def inv_chisq_mean_log(delta, lam):
+    """E(log x) = log(lambda/2) - digamma(delta/2); broadcasts."""
+    out = np.log(lam / 2.0) - digamma(delta / 2.0)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def inv_chisq_sqrt_mean(delta: float, lam: float) -> float:
@@ -398,6 +421,7 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _TAIL_REL = 1e-12
 _MAX_PANELS = 600
 _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
+_CDF_GRID_SIZE = 2048  # nodes of the sampler's and quantile's inverse-CDF grid
 
 
 def _xlogx_minus_lgamma(t: np.ndarray) -> np.ndarray:
@@ -583,11 +607,11 @@ def moonrock_log_density(p: MoonRockParams, x) -> np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def _moonrock_cdf_grid(p: MoonRockParams, grid_size: int):
+def _moonrock_cdf_grid(p: MoonRockParams):
     """Uniform grid in s = log t over the range the normalizer expansion found,
     with the trapezoid-rule CDF along it."""
     g = p._grid
-    s = np.linspace(float(g.s[0]), float(g.s[-1]), grid_size)
+    s = np.linspace(float(g.s[0]), float(g.s[-1]), _CDF_GRID_SIZE)
     logf = _moonrock_log_integrand(s, p.alpha, p.beta)
     f = np.exp(logf - float(np.max(logf)))
     cdf = np.concatenate(([0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(s))))
@@ -603,21 +627,21 @@ def _moonrock_invert_cdf(s: np.ndarray, cdf: np.ndarray, u: np.ndarray) -> np.nd
     return np.exp(s[idx - 1] + frac * (s[idx] - s[idx - 1]))
 
 
-def moonrock_sample(p: MoonRockParams, rng, size=None, grid_size: int = 2048):
-    """Inverse-CDF draws from a ``grid_size``-node grid over the same s-range
-    the normalizer expansion found; the CDF is accumulated by the trapezoid
+def moonrock_sample(p: MoonRockParams, rng, size=None):
+    """Inverse-CDF draws from a 2048-node grid over the same s-range the
+    normalizer expansion found; the CDF is accumulated by the trapezoid
     rule and inverted with linear interpolation."""
-    s, cdf = _moonrock_cdf_grid(p, grid_size)
+    s, cdf = _moonrock_cdf_grid(p)
     u = rng.uniform(size=1 if size is None else int(size))
     out = _moonrock_invert_cdf(s, cdf, u)
     return float(out[0]) if size is None else out
 
 
-def moonrock_quantile(p: MoonRockParams, prob, grid_size: int = 2048):
+def moonrock_quantile(p: MoonRockParams, prob):
     """Approximate quantile(s) from the same interpolated CDF the sampler uses."""
     prob = np.asarray(prob, dtype=float)
     if np.any(prob < 0) or np.any(prob > 1):
         raise DomainError("quantile probabilities must lie in [0, 1]")
-    s, cdf = _moonrock_cdf_grid(p, grid_size)
+    s, cdf = _moonrock_cdf_grid(p)
     out = _moonrock_invert_cdf(s, cdf, np.atleast_1d(prob))
     return float(out[0]) if prob.ndim == 0 else out

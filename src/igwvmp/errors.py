@@ -28,7 +28,8 @@ class NonSPDPrecision(IGWVMPError, ValueError):
 
 
 class DomainError(IGWVMPError, ValueError):
-    """A density was evaluated outside its support."""
+    """A value lies outside its domain: a density evaluated outside its
+    support, or a NaN or infinite data value."""
 
 
 class DivergentIntegral(IGWVMPError, ValueError):

@@ -12,23 +12,24 @@ natural vector, and messages on Moon Rock nodes the pair (alpha, -beta).
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import digamma
 
 from . import matops
 from .distributions import (
     CommonIGW,
     Graph,
+    combined_mean_inverse,
     igw_to_natural,
+    inv_chisq_mean_inverse,
+    inv_chisq_mean_log,
     omega,
 )
-from .errors import ImproperMessage, InvalidShape
+from .errors import InvalidShape
 
 __all__ = [
     "IGWMessage",
     "IteratedIGWResult",
     "GaussianPenalizationResult",
     "TLikelihoodResult",
-    "combined_mean_inverse",
     "canonical_eta",
     "igw_prior_update",
     "iterated_igw_update",
@@ -69,36 +70,6 @@ def canonical_eta(eta: np.ndarray, graph: Graph) -> np.ndarray:
     if graph is Graph.FULL:
         return eta
     return np.concatenate((eta[:1], matops.zero_offdiag_vech(eta[1:])))
-
-
-def combined_mean_inverse(eta: np.ndarray, graph: Graph) -> np.ndarray:
-    """E(X^{-1}) under the density a combined node message represents.
-
-    The moment formula is applied to the raw vector, which need not itself
-    be a proper density (its eta1 can sit between -d and -1 for the full
-    graph). Raises ImproperMessage when the vector does not give a finite,
-    positive definite mean inverse.
-    """
-    eta = np.asarray(eta, dtype=float)
-    d = matops.dim_from_vech_len(eta.size - 1)
-    w = omega(graph, d)
-    if not (eta[0] < -1.0):
-        raise ImproperMessage(f"combined eta1 must be < -1, got {eta[0]}")
-    if not (eta[0] + w < 0.0):
-        raise ImproperMessage(
-            f"mean inverse undefined: eta1 + omega = {eta[0] + w} is not negative"
-        )
-    try:
-        E = (eta[0] + w) * np.linalg.inv(matops.unfold_vech(eta[1:]))
-    except np.linalg.LinAlgError as e:
-        raise ImproperMessage(f"combined message has a singular scale: {e}") from e
-    E = 0.5 * (E + E.T)
-    if graph is Graph.FULL:
-        if not matops.is_spd(E):
-            raise ImproperMessage("combined message implies a non-SPD mean inverse")
-    elif np.any(np.diag(E) <= 0.0):
-        raise ImproperMessage("combined message implies a non-positive mean inverse")
-    return E
 
 
 def igw_prior_update(prior: CommonIGW) -> IGWMessage:
@@ -228,12 +199,12 @@ def t_likelihood_update(
     C = np.asarray(C, dtype=float)
     n = y.size
     resid = y - C @ mean_coeffs
-    r = resid**2 + np.einsum("ij,jk,ik->i", C, cov_coeffs, C)
+    r = resid**2 + ((C @ cov_coeffs) * C).sum(axis=1)
 
     b_shape = 2.0 * mean_df_half + 1.0
     b_rates = 2.0 * mean_df_half + mean_inv_noise * r
-    mean_inv_b = b_shape / b_rates
-    mean_log_b = np.log(b_rates / 2.0) - digamma(b_shape / 2.0)
+    mean_inv_b = inv_chisq_mean_inverse(b_shape, b_rates)
+    mean_log_b = inv_chisq_mean_log(b_shape, b_rates)
 
     W = mean_inv_b
     CtW = C.T * W

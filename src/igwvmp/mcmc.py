@@ -49,6 +49,8 @@ __all__ = [
     "draw_cov_auxiliary",
     "draw_df_half",
     "gibbs_fit",
+    "chain_series",
+    "kde_density",
     "summarize",
     "match_inv_chisq",
     "match_igw_full",
@@ -61,19 +63,15 @@ HW_SHAPE = 2.0
 
 @dataclass(frozen=True)
 class GibbsConfig:
-    """Chain settings: warmup discarded, kept retained, and the grid size
-    for the degrees-of-freedom inverse-CDF draw."""
+    """Chain settings: warmup discarded, kept retained, and the seed."""
 
     warmup: int = 1000
     kept: int = 5000
     seed: int = 0
-    nu_grid_size: int = 2048
 
     def __post_init__(self):
         if self.warmup < 0 or self.kept < 1:
             raise InvalidHyperparameter("need warmup >= 0 and kept >= 1")
-        if self.nu_grid_size < 64:
-            raise InvalidHyperparameter("nu_grid_size must be at least 64")
 
 
 class ChainOutput(NamedTuple):
@@ -93,16 +91,14 @@ class ChainOutput(NamedTuple):
 class ParameterSummary(NamedTuple):
     mean: float
     sd: float
-    grid: np.ndarray
-    density: np.ndarray
     split_z: float
 
 
 @dataclass(frozen=True)
 class ChainSummary:
-    """Per-parameter moments and kernel density grids, with a split-half
-    mean-agreement diagnostic (z per parameter; the overall flag compares
-    the worst z against a threshold sized for the number of parameters)."""
+    """Per-parameter moments with a split-half mean-agreement diagnostic
+    (z per parameter; the overall flag compares the worst z against a
+    threshold sized for the number of parameters)."""
 
     parameters: dict
     converged: bool
@@ -178,11 +174,11 @@ def draw_cov_auxiliary(rng, Sigma, scales):
     return inv_chisq_sample(q + 2.0, lam, rng, size=q)
 
 
-def draw_df_half(rng, b, df_rate, grid_size=2048):
+def draw_df_half(rng, b, df_rate):
     """upsilon | rest follows the conjugate two-parameter density with
     alpha = N and beta = lambda_nu + sum(log b + 1/b)."""
     beta = df_rate + float(np.sum(np.log(b) + 1.0 / b))
-    return moonrock_sample(MoonRockParams(float(b.size), beta), rng, grid_size=grid_size)
+    return moonrock_sample(MoonRockParams(float(b.size), beta), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +213,7 @@ def _prior_only_chain(hyper, cfg, rng):
             out_sigma2[j] = sigma2
             out_a[j] = a_aux
     # the degrees of freedom are independent of everything under the prior
-    out_nu = 2.0 * moonrock_sample(
-        MoonRockParams(0.0, hyper.df_rate), rng, size=cfg.kept, grid_size=cfg.nu_grid_size
-    )
+    out_nu = 2.0 * moonrock_sample(MoonRockParams(0.0, hyper.df_rate), rng, size=cfg.kept)
     return ChainOutput(
         (), np.empty((cfg.kept, 0)), out_sigma2, out_Sigma, out_nu, out_a, out_A
     )
@@ -286,7 +280,7 @@ def gibbs_fit(
     for it in range(cfg.warmup + cfg.kept):
         resid = y - C @ theta
         b = draw_scale_mixture(rng, resid, sigma2, upsilon)
-        upsilon = draw_df_half(rng, b, hyper.df_rate, cfg.nu_grid_size)
+        upsilon = draw_df_half(rng, b, hyper.df_rate)
         sigma2 = draw_noise_variance(rng, resid, b, a_aux)
         a_aux = draw_noise_auxiliary(rng, sigma2, hyper.noise_scale)
         u = theta[p:].reshape(m, q)
@@ -322,26 +316,45 @@ def gibbs_fit(
 # ---------------------------------------------------------------------------
 
 
-def _density_grid(draws, grid_size):
-    sd = float(np.std(draws))
-    if sd == 0.0:
+def chain_series(chain: ChainOutput) -> dict:
+    """The draws of every reported scalar, by name: the coefficients, the
+    noise scale sigma = sqrt(sigma2), the covariance scales sigma_j =
+    sqrt(Sigma_jj) and pairwise correlations, and the degrees of freedom."""
+    series = {name: chain.coefficients[:, i] for i, name in enumerate(chain.names)}
+    series["sigma"] = np.sqrt(chain.sigma2)
+    q = chain.Sigma.shape[-1]
+    sds = np.sqrt(chain.Sigma[:, np.arange(q), np.arange(q)])
+    for j in range(q):
+        series[f"sigma{j + 1}"] = sds[:, j]
+    for i in range(q):
+        for j in range(i + 1, q):
+            name = "rho" if q == 2 else f"rho[{i + 1},{j + 1}]"
+            series[name] = chain.Sigma[:, i, j] / (sds[:, i] * sds[:, j])
+    series["nu"] = chain.nu
+    return series
+
+
+def kde_density(draws, grid=None):
+    """(grid, density) of the draws' Gaussian kernel estimate with Silverman's
+    bandwidth h; the default grid has 401 points from three h below the
+    smallest draw to three h above the largest. A constant chain c has no h:
+    it is drawn as a spike of width w = max(|c|, 1) 1e-8, on c +- 6w by default."""
+    if float(np.std(draws)) == 0.0:
         center = float(draws[0])
         width = max(abs(center), 1.0) * 1e-8
-        grid = np.linspace(center - 6 * width, center + 6 * width, grid_size)
-        dens = np.exp(-0.5 * ((grid - center) / width) ** 2) / (
-            width * np.sqrt(2 * np.pi)
-        )
-        return grid, dens
+        if grid is None:
+            grid = np.linspace(center - 6 * width, center + 6 * width, 401)
+        return grid, np.exp(-0.5 * ((grid - center) / width) ** 2) / (width * np.sqrt(2 * np.pi))
     kde = gaussian_kde(draws, bw_method="silverman")
-    h = float(np.sqrt(kde.covariance[0, 0]))
-    grid = np.linspace(float(np.min(draws)) - 3 * h, float(np.max(draws)) + 3 * h, grid_size)
+    if grid is None:
+        h = float(np.sqrt(kde.covariance[0, 0]))
+        grid = np.linspace(float(np.min(draws)) - 3 * h, float(np.max(draws)) + 3 * h, 401)
     return grid, kde(grid)
 
 
 def _split_half_z(draws, n_batches=10):
     """Half-mean disagreement in batch-means standard errors."""
     half = draws.size // 2
-    zs = []
     ses = []
     means = []
     for part in (draws[:half], draws[half : 2 * half]):
@@ -460,39 +473,20 @@ def match_moonrock(draws) -> MoonRockParams:
     return MoonRockParams(alpha, _beta_matching_mean(alpha, m))
 
 
-def summarize(chain: ChainOutput, grid_size: int = 401) -> ChainSummary:
-    """Means, standard deviations, and Gaussian-kernel density grids per
-    scalar parameter, with derived noise and covariance scales.
-
-    The noise scale is summarized as sigma = sqrt(sigma2); the covariance
-    contributes sigma_j = sqrt(Sigma_jj) and each pairwise correlation.
-    """
+def summarize(chain: ChainOutput) -> ChainSummary:
+    """Mean, standard deviation and split-half z of every series that
+    ``chain_series`` derives."""
     kept = chain.sigma2.size
     if kept < 100:
         raise DomainError(f"summaries need at least 100 retained draws, got {kept}")
-    series = {}
-    for i, name in enumerate(chain.names):
-        series[name] = chain.coefficients[:, i]
-    series["sigma"] = np.sqrt(chain.sigma2)
-    q = chain.Sigma.shape[-1]
-    sds = np.sqrt(chain.Sigma[:, np.arange(q), np.arange(q)])
-    for j in range(q):
-        series[f"sigma{j + 1}"] = sds[:, j]
-    for i in range(q):
-        for j in range(i + 1, q):
-            name = "rho" if q == 2 else f"rho[{i + 1},{j + 1}]"
-            series[name] = chain.Sigma[:, i, j] / (sds[:, i] * sds[:, j])
-    series["nu"] = chain.nu
-
     parameters = {}
     worst = 0.0
-    for name, draws in series.items():
-        grid, dens = _density_grid(draws, grid_size)
+    for name, draws in chain_series(chain).items():
         z = _split_half_z(draws)
         worst = max(worst, z)
         parameters[name] = ParameterSummary(
-            float(np.mean(draws)), float(np.std(draws, ddof=1)), grid, dens, z
+            float(np.mean(draws)), float(np.std(draws, ddof=1)), z
         )
     # family-wise version of the two-standard-error rule
-    threshold = float(norm.ppf(1.0 - 0.025 / len(series)))
+    threshold = float(norm.ppf(1.0 - 0.025 / len(parameters)))
     return ChainSummary(parameters, bool(worst < threshold), threshold)

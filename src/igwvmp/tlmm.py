@@ -21,6 +21,7 @@ from .distributions import (
     MoonRockParams,
     NaturalIGW,
     NaturalMVN,
+    combined_mean_inverse,
     igw_from_natural,
     implied_scale,
     inv_chisq_sqrt_mean,
@@ -52,6 +53,7 @@ __all__ = [
     "DesignInfo",
     "PosteriorSummary",
     "TLMMFit",
+    "posterior_block",
     "assemble_design",
     "coefficient_names",
     "simulate",
@@ -103,6 +105,8 @@ class TLMMData:
             group = group.astype(int)
         if y.size == 0:
             raise DimensionMismatch("data must contain at least one observation")
+        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x))):
+            raise DomainError("y and x must be finite (no NaN or infinity)")
         m = int(group.max()) + 1
         present = np.unique(group)
         if group.min() < 0 or present.size != m:
@@ -339,11 +343,6 @@ class PosteriorSummary:
     def coefficient_sd(self) -> np.ndarray:
         return np.sqrt(np.diag(self.coefficient_cov))
 
-    @property
-    def variance_kappa(self) -> float:
-        """Inverse-Wishart shape of the covariance posterior."""
-        return self.variance.xi - self.variance.dim + 1.0
-
     def variance_mean(self) -> np.ndarray:
         d = self.variance.dim
         if self.variance.xi <= 2 * d:
@@ -380,20 +379,42 @@ class PosteriorSummary:
         return {
             "iterations": self.report.iterations,
             "final_change": self.report.final_change,
-            "names": list(self.names),
-            "beta_u": {
-                "mean": self.coefficient_mean.tolist(),
-                "cov": self.coefficient_cov.tolist(),
-            },
-            "sigma2": {"delta": self.noise_delta, "lambda": self.noise_lambda},
-            "Sigma": {
-                "xi": self.variance.xi,
-                "Lambda": self.variance.Lambda.tolist(),
-                "kappa": self.variance_kappa,
-            },
-            "upsilon": {"alpha": self.df_half.alpha, "beta": self.df_half.beta},
-            "nu_density": {"grid": self.nu_grid.tolist(), "values": self.nu_density.tolist()},
+            **posterior_block(
+                self.names,
+                self.coefficient_mean,
+                self.coefficient_cov,
+                (self.noise_delta, self.noise_lambda),
+                self.variance,
+                self.df_half,
+                (self.nu_grid, self.nu_density),
+            ),
         }
+
+
+def posterior_block(
+    names, coefficient_mean, coefficient_cov, noise, variance, df_half, nu_density
+) -> dict:
+    """The posterior keys that the ``fit-vmp`` and ``fit-mcmc`` JSON share.
+
+    ``noise`` is the (delta, lambda) of sigma^2, ``variance`` the CommonIGW
+    of Sigma, ``df_half`` the MoonRockParams of nu/2 and ``nu_density`` a
+    (grid, values) pair. Nothing is validated: a chain's sample covariance
+    of the coefficients can be singular.
+    """
+    delta, lam = noise
+    grid, values = nu_density
+    return {
+        "names": list(names),
+        "beta_u": {"mean": coefficient_mean.tolist(), "cov": coefficient_cov.tolist()},
+        "sigma2": {"delta": delta, "lambda": lam},
+        "Sigma": {
+            "xi": variance.xi,
+            "Lambda": variance.Lambda.tolist(),
+            "kappa": variance.xi - variance.dim + 1.0,
+        },
+        "upsilon": {"alpha": df_half.alpha, "beta": df_half.beta},
+        "nu_density": {"grid": grid.tolist(), "values": values.tolist()},
+    }
 
 
 class TLMMFit(NamedTuple):
@@ -530,7 +551,7 @@ def build_graph(data: TLMMData, hyper: TLMMHyper, design: str = "slope") -> Fact
 
     def coefficient_prior_update(g):
         mu, Sig = gaussian_moments(g)
-        inv_cov = fr.combined_mean_inverse(g.q_star("cov").eta, Graph.FULL)
+        inv_cov = combined_mean_inverse(g.q_star("cov").eta, Graph.FULL)
         res = fr.gaussian_penalization_update(mu, Sig, p, m, hyper.fixed_scale, inv_cov)
         return {
             "coefficients": Message(res.to_coefficients),
@@ -539,7 +560,7 @@ def build_graph(data: TLMMData, hyper: TLMMHyper, design: str = "slope") -> Fact
 
     def composite(g):
         mu, Sig = gaussian_moments(g)
-        inv_noise = float(fr.combined_mean_inverse(g.q_star("noise").eta, Graph.FULL)[0, 0])
+        inv_noise = float(combined_mean_inverse(g.q_star("noise").eta, Graph.FULL)[0, 0])
         mean_df_half = moonrock_mean(MoonRockParams.from_vector(g.q_star("df_half").eta))
         return fr.t_likelihood_update(y, C, mu, Sig, inv_noise, mean_df_half)
 

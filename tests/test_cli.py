@@ -112,6 +112,17 @@ def test_validation_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["fit-vmp", "fit-mcmc", "compare"])
+@pytest.mark.parametrize("row", ["0,nan,0.5", "0,0.5,inf", "1,-inf,0.5"])
+def test_non_finite_data_exit_code(command, row, tmp_path, capsys):
+    bad = tmp_path / "nonfinite.csv"
+    bad.write_text(f"group,y,x1\n0,1.0,0.2\n1,2.0,0.4\n{row}\n1,3.0,0.9\n")
+    rc = main([command, "--input", str(bad), "--output", str(tmp_path / "o.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 4" in err and "finite" in err
+
+
 def test_scale_list_validation(small_csv, tmp_path, capsys):
     out = tmp_path / "o.json"
     args = ["fit-vmp", "--input", str(small_csv), "--output", str(out)]
@@ -191,14 +202,19 @@ def test_fit_vmp_numerical_failure_exit_code(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_fit_mcmc_schema(small_csv, tmp_path):
-    out = tmp_path / "m.json"
+@pytest.fixture(scope="module")
+def mcmc_json(small_csv, tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli_mcmc") / "m.json"
     rc = main(
-        ["fit-mcmc", "--input", str(small_csv), "--output", str(out),
+        ["fit-mcmc", "--input", str(small_csv), "--output", str(path),
          "--warmup", "150", "--kept", "500", "--seed", "2"]
     )
     assert rc == 0
-    d = json.loads(out.read_text())
+    return json.loads(path.read_text())
+
+
+def test_fit_mcmc_schema(mcmc_json):
+    d = mcmc_json
     assert d["method"] == "mcmc"
     assert d["iterations"] == 650
     assert d["sigma2"]["delta"] > 0 and d["sigma2"]["lambda"] > 0
@@ -208,6 +224,14 @@ def test_fit_mcmc_schema(small_csv, tmp_path):
     assert len(d["nu_density"]["grid"]) == len(d["nu_density"]["values"]) == 401
     expected = set(d["names"]) | {"sigma", "sigma1", "sigma2", "rho", "nu"}
     assert set(d["split_half_z"]) == expected
+
+
+def test_fit_json_files_share_the_posterior_block(vmp_json, mcmc_json):
+    shared = set(vmp_json) & set(mcmc_json) - {"method", "converged", "iterations"}
+    assert shared == {"names", "beta_u", "sigma2", "Sigma", "upsilon", "nu_density"}
+    assert vmp_json["names"] == mcmc_json["names"]
+    for key in shared - {"names"}:
+        assert set(vmp_json[key]) == set(mcmc_json[key]), key
 
 
 # ---------------------------------------------------------------------------

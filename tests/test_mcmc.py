@@ -35,8 +35,6 @@ def test_config_validation():
         mcmc.GibbsConfig(warmup=-1)
     with pytest.raises(InvalidHyperparameter):
         mcmc.GibbsConfig(kept=0)
-    with pytest.raises(InvalidHyperparameter):
-        mcmc.GibbsConfig(nu_grid_size=8)
     cfg = mcmc.GibbsConfig()
     assert (cfg.warmup, cfg.kept) == (1000, 5000)
 
@@ -194,9 +192,14 @@ def test_summarize_constant_chain_has_zero_sd():
     assert beta.sd == 0.0
     assert beta.mean == 3.0
     assert beta.split_z == 0.0
-    mass = np.trapezoid(beta.density, beta.grid)
-    assert abs(mass - 1.0) < 1e-6
     assert s.converged
+
+
+def test_kde_density_of_constant_chain_is_unit_spike():
+    grid, density = mcmc.kde_density(np.full(200, 3.0))
+    assert grid.shape == (401,)
+    assert abs(np.trapezoid(density, grid) - 1.0) < 1e-6
+    assert grid[np.argmax(density)] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_summarize_standard_normal_moments():
@@ -211,10 +214,19 @@ def test_summarize_standard_normal_moments():
     beta = s.parameters["beta0"]
     assert abs(beta.mean) < 0.05
     assert abs(beta.sd - 1.0) < 0.05
-    mass = np.trapezoid(beta.density, beta.grid)
-    assert abs(mass - 1.0) < 0.02
+
+
+def test_kde_density_of_standard_normal_draws():
+    draws = np.random.default_rng(6).standard_normal(5000)
+    grid, density = mcmc.kde_density(draws)
+    assert grid.shape == (401,)
+    assert grid[0] < draws.min() and grid[-1] > draws.max()
+    assert abs(np.trapezoid(density, grid) - 1.0) < 0.02
     # density peaks near the mean
-    assert abs(beta.grid[np.argmax(beta.density)]) < 0.25
+    assert abs(grid[np.argmax(density)]) < 0.25
+    # a caller's grid gets the same kernel estimate
+    _, again = mcmc.kde_density(draws, grid)
+    assert np.array_equal(again, density)
 
 
 def test_summarize_derived_parameters(small_chain):

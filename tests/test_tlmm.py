@@ -12,6 +12,7 @@ from igwvmp import matops, tlmm
 from igwvmp.distributions import Graph, MoonRockParams, igw_to_natural
 from igwvmp.errors import (
     DimensionMismatch,
+    DomainError,
     ImproperMessage,
     InvalidHyperparameter,
     NotConverged,
@@ -160,6 +161,15 @@ def test_data_validation():
     assert data.n_groups == 2
 
 
+@pytest.mark.parametrize("field", ["y", "x"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_data_must_be_finite(field, bad):
+    values = {"y": np.zeros(3), "x": np.zeros(3)}
+    values[field][1] = bad
+    with pytest.raises(DomainError, match="finite"):
+        tlmm.TLMMData(values["y"], values["x"], np.array([1, 0, 1]))
+
+
 def test_hyper_validation():
     with pytest.raises(InvalidHyperparameter):
         tlmm.TLMMHyper(fixed_scale=-1.0)
@@ -256,7 +266,7 @@ def test_posterior_summary_finite_and_coherent(example_fit):
     # Jensen: E(sigma)^2 < E(sigma^2)
     assert s.noise_sd_mean() ** 2 < s.noise_variance_mean()
     assert s.noise_variance_mean() == pytest.approx(s.noise_lambda / (s.noise_delta - 2))
-    assert s.variance_kappa == pytest.approx(s.variance.xi - 2 + 1)
+    assert s.to_dict()["Sigma"]["kappa"] == pytest.approx(s.variance.xi - 2 + 1)
     assert matops.is_spd(s.variance_mean())
     assert s.df_mean() > 0 and s.df_sd() > 0
 
