@@ -129,7 +129,8 @@ def _parse_scales(text):
         )
 
 
-def _hyper_for(args, n_random):
+def _hyper_for(args):
+    n_random = tlmm.design_sizes(args.design)[1]
     scales = _parse_scales(args.s_Sigma)
     if len(scales) == 1 and n_random > 1:
         scales = scales * n_random
@@ -208,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_simulate(args):
-    q = 2 if args.design == "slope" else 1
+    q = tlmm.design_sizes(args.design)[1]
     cov = np.array(tlmm.TRUE_RANDOM_COV)[:q, :q]
     data, _ = tlmm.simulate(
         seed=args.seed,
@@ -224,8 +225,7 @@ def cmd_simulate(args):
 
 def cmd_fit_vmp(args):
     data = read_data_csv(args.input)
-    des = tlmm.assemble_design(data, args.design)
-    hyper = _hyper_for(args, des.n_random)
+    hyper = _hyper_for(args)
     try:
         fit = tlmm.fit(data, hyper, args.design, tol=args.tol, max_iters=args.max_iters)
     except NotConverged as exc:
@@ -275,8 +275,7 @@ def _mcmc_payload(chain, summary, args):
 
 def cmd_fit_mcmc(args):
     data = read_data_csv(args.input)
-    des = tlmm.assemble_design(data, args.design)
-    hyper = _hyper_for(args, des.n_random)
+    hyper = _hyper_for(args)
     try:
         cfg = mcmc.GibbsConfig(args.warmup, args.kept, args.seed)
     except InvalidHyperparameter as exc:
@@ -373,8 +372,7 @@ def _safe_name(name):
 
 def cmd_compare(args):
     data = read_data_csv(args.input)
-    des = tlmm.assemble_design(data, args.design)
-    hyper = _hyper_for(args, des.n_random)
+    hyper = _hyper_for(args)
     fit = tlmm.fit(data, hyper, args.design, tol=args.tol, max_iters=args.max_iters)
     chain = mcmc.gibbs_fit(
         data, hyper, mcmc.GibbsConfig(args.warmup, args.kept, args.seed), args.design

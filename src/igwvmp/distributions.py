@@ -10,11 +10,13 @@ are only ever formed at the final reporting stage.
 """
 
 import enum
-from dataclasses import dataclass, field
+import functools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import digamma, gammaln, multigammaln
+from scipy.special import digamma, gammaln, multigammaln, zeta
 
 from . import matops
 from .errors import (
@@ -255,43 +257,42 @@ def igw_log_density(p: CommonIGW, X: np.ndarray) -> float:
     return float(sum(inv_chisq_log_density(p.xi, lj, xj) for lj, xj in zip(lam, x)))
 
 
-def _wishart_bartlett(nu: float, scale: np.ndarray, rng, size: int) -> np.ndarray:
-    """Wishart(nu, scale) draws via the Bartlett decomposition; nu > d - 1."""
-    d = scale.shape[0]
-    L = np.linalg.cholesky(scale)
-    A = np.zeros((size, d, d))
-    if d > 1:
-        ir, ic = np.tril_indices(d, -1)
-        A[:, ir, ic] = rng.standard_normal((size, ir.size))
-    for j in range(d):
-        A[:, j, j] = np.sqrt(rng.chisquare(nu - j, size))
-    M = L @ A
-    return M @ np.swapaxes(M, -1, -2)
+@functools.lru_cache(maxsize=None)
+def _bartlett_index(d: int):
+    """(rows, cols) of the strict lower triangle and the diagonal index of a
+    d x d matrix, built once per d and read-only."""
+    ir, ic = np.tril_indices(d, -1)
+    diag = np.arange(d)
+    for a in (ir, ic, diag):
+        a.flags.writeable = False
+    return ir, ic, diag
 
 
 def igw_sample(p: CommonIGW, rng, size: int | None = None) -> np.ndarray:
     """Draw from the Inverse G-Wishart distribution.
 
-    Full graph: invert a Bartlett-decomposition Wishart draw with conventional
-    shape nu = xi - d + 1 and scale Lambda^{-1} (the xi > 2d - 2 bound makes
-    nu > d - 1 a valid Wishart shape). Diag graph: independent
+    Full graph: with R R^T = Lambda and A the lower-triangular Bartlett
+    factor of a Wishart(nu, I) draw, nu = xi - d + 1 (the xi > 2d - 2 bound
+    makes nu > d - 1 a valid Wishart shape), X = (R A^{-T})(R A^{-T})^T.
+    This is the inverse of the Wishart(nu, Lambda^{-1}) draw R^{-T} A A^T
+    R^{-1}, so no inverse is formed. Diag graph: independent
     Inverse-chi^2(xi, Lambda_jj) diagonal entries.
     """
     n = 1 if size is None else int(size)
     d = p.dim
+    ir, ic, diag = _bartlett_index(d)
     if p.graph is Graph.FULL:
-        nu = p.xi - d + 1.0
-        scale = np.linalg.inv(p.Lambda)
-        scale = 0.5 * (scale + scale.T)
-        W = _wishart_bartlett(nu, scale, rng, n)
-        out = np.linalg.inv(W)
+        A = np.zeros((n, d, d))
+        A[:, ir, ic] = rng.standard_normal((n, ir.size))
+        A[:, diag, diag] = np.sqrt(rng.chisquare(p.xi - d + 1.0 - diag, (n, d)))
+        # X^T X with X = A^{-1} R^T is (R A^{-T})(R A^{-T})^T
+        X = np.linalg.solve(A, np.linalg.cholesky(p.Lambda).T)
+        out = np.swapaxes(X, -1, -2) @ X
         out = 0.5 * (out + np.swapaxes(out, -1, -2))
     else:
         lam = np.diag(p.Lambda)
-        draws = lam[None, :] / rng.chisquare(p.xi, (n, d))
         out = np.zeros((n, d, d))
-        idx = np.arange(d)
-        out[:, idx, idx] = draws
+        out[:, diag, diag] = lam[None, :] / rng.chisquare(p.xi, (n, d))
     return out[0] if size is None else out
 
 
@@ -422,6 +423,9 @@ _TAIL_REL = 1e-12
 _MAX_PANELS = 600
 _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 _CDF_GRID_SIZE = 2048  # nodes of the sampler's and quantile's inverse-CDF grid
+_CDF_LOG_DROP = 32.0  # the CDF grid ends where the integrand is e^-32 ~ 1e-14 of its peak
+_CDF_PROBE_STEPS = np.arange(-64.0, 65.0)
+_CDF_PROBE_STEPS.flags.writeable = False
 
 
 def _xlogx_minus_lgamma(t: np.ndarray) -> np.ndarray:
@@ -458,7 +462,9 @@ def _moonrock_log_integrand(s: np.ndarray, alpha: float, beta: float) -> np.ndar
 
 
 def _moonrock_center(alpha: float, beta: float) -> float:
-    """Location (in s = log t) around which panel expansion starts."""
+    """Location (in s = log t) of the density's mode in t, where the
+    normalizer's panel expansion and the CDF range search start; for
+    alpha = 0 the peak of the log integrand -beta t + s."""
     if alpha == 0.0:
         return float(np.log(1.0 / beta))
 
@@ -476,12 +482,24 @@ def _moonrock_center(alpha: float, beta: float) -> float:
     return float(np.log(brentq(h, lo, hi, xtol=1e-12, rtol=1e-12)))
 
 
+def _moonrock_curvature(alpha: float, beta: float, s: float) -> float:
+    """-d^2/ds^2 of the log integrand at s, in closed form with t = e^s:
+    t (beta - alpha (log t + 1 - psi(t))) + alpha t (t psi'(t) - 1).
+
+    At the mode of an alpha > 0 member the first term vanishes, leaving
+    alpha t^2 (psi'(t) - 1/t); for alpha = 0 it is beta t.
+    """
+    t = math.exp(s)
+    curv = t * (beta - alpha * (math.log(t) + 1.0 - digamma(t)))
+    if alpha != 0.0:
+        curv += alpha * t * (t * zeta(2.0, t) - 1.0)
+    return float(curv)
+
+
 def _panel_width(alpha: float, beta: float, center: float) -> float:
     """Panel width matched to the curvature of the log integrand at its peak,
     so 32 nodes always resolve the central bump."""
-    h = 1e-3
-    g = _moonrock_log_integrand(np.array([center - h, center, center + h]), alpha, beta)
-    curv = -(g[0] - 2.0 * g[1] + g[2]) / h**2
+    curv = _moonrock_curvature(alpha, beta, center)
     if not np.isfinite(curv) or curv < 1e-6:
         return 1.0
     return float(min(1.0, 8.0 / np.sqrt(curv)))
@@ -551,24 +569,32 @@ class _MoonRockGrid:
 class MoonRockParams:
     """Parameters of p(x) proportional to {x^x/Gamma(x)}^alpha e^{-beta x}.
 
-    Requires alpha >= 0 and beta > 0; the normalizing integral is checked
-    numerically at construction and DivergentIntegral is raised when the mass
-    fails to decay (asymptotically the kernel behaves like e^{(alpha-beta)t}
-    t^{alpha/2}, so finiteness demands beta > alpha).
+    Requires alpha >= 0 and beta > 0. Asymptotically the kernel behaves like
+    e^{(alpha-beta)t} t^{alpha/2}, so the normalizing integral is finite
+    exactly when beta > alpha; construction raises DivergentIntegral
+    otherwise. The quadrature grid behind the normalizer and the moments is
+    built on first use, so a member that is only sampled never builds it.
     """
 
     alpha: float
     beta: float
-    _grid: _MoonRockGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.alpha < 0:
             raise InvalidHyperparameter(f"alpha must be >= 0, got {self.alpha}")
         if self.beta <= 0:
             raise InvalidHyperparameter(f"beta must be > 0, got {self.beta}")
+        if self.alpha > 0 and not self.beta > self.alpha:
+            raise DivergentIntegral(
+                f"Moon Rock({self.alpha}, {self.beta}) needs beta > alpha; "
+                "the integral diverges"
+            )
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "beta", float(self.beta))
-        object.__setattr__(self, "_grid", _MoonRockGrid(self.alpha, self.beta))
+
+    @functools.cached_property
+    def _grid(self) -> "_MoonRockGrid":
+        return _MoonRockGrid(self.alpha, self.beta)
 
     @classmethod
     def from_vector(cls, eta: np.ndarray) -> "MoonRockParams":
@@ -607,34 +633,51 @@ def moonrock_log_density(p: MoonRockParams, x) -> np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
+def _moonrock_cdf_range(alpha: float, beta: float):
+    """(lo, hi) in s = log t that the inverse-CDF grid spans.
+
+    Probes the log integrand at the mode plus and minus 1..64 steps, in one
+    call, with the step 1/sqrt(curvature at the mode) capped at 1. Each end
+    is the first probe beyond the highest one whose log integrand lies
+    _CDF_LOG_DROP below it, which leaves a negligible tail. A side that never
+    falls that far raises DivergentIntegral.
+    """
+    center = _moonrock_center(alpha, beta)
+    curv = _moonrock_curvature(alpha, beta, center)
+    step = 1.0 / math.sqrt(curv) if curv > 1.0 else 1.0
+    s = center + step * _CDF_PROBE_STEPS
+    g = _moonrock_log_integrand(s, alpha, beta)
+    top = int(np.argmax(g))
+    below = g < g[top] - _CDF_LOG_DROP
+    left = np.flatnonzero(below[:top])
+    right = np.flatnonzero(below[top:])
+    if left.size == 0 or right.size == 0:
+        raise DivergentIntegral(
+            f"Moon Rock({alpha}, {beta}) integrand does not decay within "
+            f"{_CDF_PROBE_STEPS[-1]:.0f} steps of its mode"
+        )
+    return float(s[left[-1]]), float(s[top + right[0]])
+
+
 def _moonrock_cdf_grid(p: MoonRockParams):
-    """Uniform grid in s = log t over the range the normalizer expansion found,
-    with the trapezoid-rule CDF along it."""
-    g = p._grid
-    s = np.linspace(float(g.s[0]), float(g.s[-1]), _CDF_GRID_SIZE)
+    """Uniform grid in s = log t over ``_moonrock_cdf_range``, with the
+    trapezoid-rule CDF along it."""
+    s = np.linspace(*_moonrock_cdf_range(p.alpha, p.beta), _CDF_GRID_SIZE)
     logf = _moonrock_log_integrand(s, p.alpha, p.beta)
-    f = np.exp(logf - float(np.max(logf)))
-    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(s))))
+    f = np.exp(logf - np.max(logf))
+    # the spacing is uniform, so the trapezoid weight cancels in the normalization
+    cdf = np.concatenate(([0.0], np.cumsum(f[1:] + f[:-1])))
     cdf /= cdf[-1]
     return s, cdf
 
 
-def _moonrock_invert_cdf(s: np.ndarray, cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    idx = np.clip(np.searchsorted(cdf, u), 1, len(s) - 1)
-    c_lo = cdf[idx - 1]
-    c_hi = cdf[idx]
-    frac = np.where(c_hi > c_lo, (u - c_lo) / (c_hi - c_lo), 0.5)
-    return np.exp(s[idx - 1] + frac * (s[idx] - s[idx - 1]))
-
-
 def moonrock_sample(p: MoonRockParams, rng, size=None):
-    """Inverse-CDF draws from a 2048-node grid over the same s-range the
-    normalizer expansion found; the CDF is accumulated by the trapezoid
-    rule and inverted with linear interpolation."""
+    """Inverse-CDF draws from a 2048-node grid over the range
+    ``_moonrock_cdf_range`` finds; the CDF is accumulated by the trapezoid
+    rule and inverted by linear interpolation in s. It needs no normalizer."""
     s, cdf = _moonrock_cdf_grid(p)
-    u = rng.uniform(size=1 if size is None else int(size))
-    out = _moonrock_invert_cdf(s, cdf, u)
-    return float(out[0]) if size is None else out
+    out = np.exp(np.interp(rng.uniform(size=size), cdf, s))
+    return float(out) if size is None else out
 
 
 def moonrock_quantile(p: MoonRockParams, prob):
@@ -643,5 +686,5 @@ def moonrock_quantile(p: MoonRockParams, prob):
     if np.any(prob < 0) or np.any(prob > 1):
         raise DomainError("quantile probabilities must lie in [0, 1]")
     s, cdf = _moonrock_cdf_grid(p)
-    out = _moonrock_invert_cdf(s, cdf, np.atleast_1d(prob))
-    return float(out[0]) if prob.ndim == 0 else out
+    out = np.exp(np.interp(prob, cdf, s))
+    return float(out) if prob.ndim == 0 else out

@@ -2,16 +2,17 @@
 
 The augmented model (scale-mixture variables b, auxiliary scale matrices A
 and a) has standard full conditionals for every block except the half
-degrees of freedom, which is drawn by inverse-CDF over the quadrature grid
-of its two-parameter conjugate density. The sampler serves as a simulation
+degrees of freedom, which is drawn by inverting a grid CDF of its
+two-parameter conjugate density. The sampler serves as a simulation
 ground truth for the variational fit.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 from scipy.stats import gaussian_kde, norm
 
 from scipy.optimize import brentq
@@ -110,29 +111,39 @@ class ChainSummary:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _group_block_index(n_fixed: int, q: int, n_groups: int):
+    """Row and column indices, broadcasting to n_groups x q x q, of the
+    random-effects diagonal blocks of the coefficient precision."""
+    first = n_fixed + q * np.arange(n_groups)[:, None, None]
+    rows = first + np.arange(q)[:, None]
+    cols = first + np.arange(q)[None, :]
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
+
+
 def draw_coefficients(rng, y, C, b, sigma2, Sigma, fixed_scale, n_fixed, n_groups):
-    """(beta, u) | rest is Gaussian with precision C'WC/sigma2 plus the
-    prior block diagonal, W = diag(1/b)."""
-    q = Sigma.shape[0]
-    w = 1.0 / b
-    M = (C.T * w) @ C / sigma2
+    """(beta, u) | rest is Gaussian with precision M = C'WC/sigma2 plus the
+    prior block diagonal, W = diag(1/b), and mean M^{-1} C'Wy/sigma2. With
+    M = L L' and z standard normal, the draw is L^{-T}(L^{-1} C'Wy/sigma2 + z)."""
+    CtW = C.T * (1.0 / b)
+    M = CtW @ C / sigma2
     M[:n_fixed, :n_fixed] += np.eye(n_fixed) / fixed_scale**2
     try:
         Sig_inv = np.linalg.inv(Sigma)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure("random-effects covariance draw is singular") from exc
-    Sig_inv = 0.5 * (Sig_inv + Sig_inv.T)
-    for i in range(n_groups):
-        s = n_fixed + i * q
-        M[s : s + q, s : s + q] += Sig_inv
-    rhs = C.T @ (w * y) / sigma2
+    M[_group_block_index(n_fixed, Sigma.shape[0], n_groups)] += 0.5 * (Sig_inv + Sig_inv.T)
+    rhs = CtW @ y / sigma2
     try:
         L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure("coefficient conditional precision is not SPD") from exc
-    mean = cho_solve((L, True), rhs)
     z = rng.standard_normal(M.shape[0])
-    return mean + solve_triangular(L, z, lower=True, trans="T")
+    return solve_triangular(
+        L, solve_triangular(L, rhs, lower=True) + z, lower=True, trans="T"
+    )
 
 
 def draw_scale_mixture(rng, resid, sigma2, upsilon):

@@ -54,6 +54,7 @@ __all__ = [
     "PosteriorSummary",
     "TLMMFit",
     "posterior_block",
+    "design_sizes",
     "assemble_design",
     "coefficient_names",
     "simulate",
@@ -67,6 +68,9 @@ TRUE_BETA = (-0.58, 1.89)
 TRUE_NOISE_VARIANCE = 0.2
 TRUE_RANDOM_COV = ((2.58, 0.22), (0.22, 1.73))
 TRUE_DF = 1.5
+
+# (fixed-effect columns, random effects per group) of each design
+_DESIGN_SIZES = {"slope": (2, 2), "intercept": (2, 1), "micro": (1, 1)}
 
 NODE_NAMES = ("cov_aux", "noise_aux", "cov", "noise", "coefficients", "df_half")
 FACTOR_NAMES = (
@@ -178,6 +182,14 @@ class TLMMTruth(NamedTuple):
     df: float
 
 
+def design_sizes(design: str) -> tuple:
+    """(p, q) of a design: fixed-effect columns and random effects per group."""
+    try:
+        return _DESIGN_SIZES[design]
+    except KeyError:
+        raise InvalidHyperparameter(f"unknown design {design!r}") from None
+
+
 def assemble_design(data: TLMMData, design: str = "slope") -> DesignInfo:
     """Build C = [X Z].
 
@@ -186,6 +198,7 @@ def assemble_design(data: TLMMData, design: str = "slope") -> DesignInfo:
     (q=1). ``micro`` is the minimal intercept-only layout (p=q=1) used by
     degenerate smoke tests.
     """
+    design_sizes(design)  # rejects an unknown name
     ones = np.ones(data.n_obs)
     if design == "slope":
         X = np.column_stack((ones, data.x))
@@ -193,11 +206,9 @@ def assemble_design(data: TLMMData, design: str = "slope") -> DesignInfo:
     elif design == "intercept":
         X = np.column_stack((ones, data.x))
         z = ones[:, None]
-    elif design == "micro":
+    else:  # micro
         X = ones[:, None]
         z = ones[:, None]
-    else:
-        raise InvalidHyperparameter(f"unknown design {design!r}")
     q = z.shape[1]
     m = data.n_groups
     Z = np.zeros((data.n_obs, m * q))
@@ -241,8 +252,7 @@ def simulate(
         raise InvalidHyperparameter("noise_variance must be >= 0 and df > 0")
     if not matops.is_spd(Sigma):
         raise InvalidHyperparameter("random_cov must be SPD")
-    q_design = 2 if design == "slope" else 1
-    p_design = 1 if design == "micro" else 2
+    p_design, q_design = design_sizes(design)
     if Sigma.shape[0] != q_design:
         raise DimensionMismatch(
             f"random_cov is {Sigma.shape[0]}x{Sigma.shape[0]} but the "
@@ -482,15 +492,18 @@ def _assert_initial_proper(messages: dict, n_random: int, n_coeff: int):
                 )
 
 
-def build_graph(data: TLMMData, hyper: TLMMHyper, design: str = "slope") -> FactorGraph:
+def build_graph(data: TLMMData, hyper: TLMMHyper, design="slope") -> FactorGraph:
     """Assemble the eight-factor graph with its initial messages stored.
+
+    ``design`` is a design name or the DesignInfo already assembled from
+    ``data``.
 
     The default schedule follows construction order; the covariance
     conditional must run before the coefficient prior on the first sweep,
     because the initial combined vector on the covariance node only becomes
     proper once the conditional has refreshed its half.
     """
-    des = assemble_design(data, design)
+    des = design if isinstance(design, DesignInfo) else assemble_design(data, design)
     p, q, m = des.n_fixed, des.n_random, des.n_groups
     k = p + m * q
     if len(hyper.random_scales) != q:
@@ -648,7 +661,7 @@ def fit(
     des = assemble_design(data, design)
     if hyper is None:
         hyper = TLMMHyper.diffuse(des.n_random)
-    graph = build_graph(data, hyper, design)
+    graph = build_graph(data, hyper, des)
     report = graph.run(tol=tol, max_iters=max_iters, schedule=schedule)
     if not report.converged:
         err = NotConverged(

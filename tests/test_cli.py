@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from igwvmp import cli, tlmm
+from igwvmp import cli, mcmc, tlmm
 from igwvmp.cli import CommandError, density_accuracy, main, read_data_csv, write_data_csv
 from igwvmp.distributions import (
     Graph,
@@ -325,6 +325,30 @@ def test_compare_intercept_design(tmp_path):
     assert rc == 0
     names = set(json.loads(out.read_text())["parameters"])
     assert names == {"beta0", "beta1", "u[1,0]", "u[2,0]", "sigma", "sigma1", "nu"}
+
+
+@pytest.mark.parametrize(
+    "command, extra, most",
+    [
+        ("fit-vmp", [], 1),
+        ("fit-mcmc", ["--warmup", "10", "--kept", "100"], 1),
+        # one design for the VMP fit, one for the Gibbs chain
+        ("compare", ["--warmup", "10", "--kept", "100"], 2),
+    ],
+)
+def test_design_is_assembled_once_per_engine(command, extra, most, small_csv, tmp_path, monkeypatch):
+    calls = []
+    assemble = tlmm.assemble_design
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(tlmm, "assemble_design", counted)
+    monkeypatch.setattr(mcmc, "assemble_design", counted)
+    out = tmp_path / "out.json"
+    assert main([command, "--input", str(small_csv), "--output", str(out), *extra]) == 0
+    assert 1 <= len(calls) <= most
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
+from scipy.special import gammaln, xlogy
 
 from igwvmp import distributions as dist
 from igwvmp import matops
@@ -214,14 +215,26 @@ class TestInvChiSq:
 
 
 class TestSampling:
-    def test_full_graph_moments(self):
+    @pytest.mark.parametrize(
+        "Lam, xi",
+        [
+            (random_spd(3, np.random.default_rng(19)), 9.0),
+            # strong correlations and scales from 0.5 to 8
+            (
+                np.array([[1.0, 0.9, -0.6], [0.9, 1.0, -0.5], [-0.6, -0.5, 1.0]])
+                * np.outer([0.5, 2.0, 8.0], [0.5, 2.0, 8.0]),
+                10.0,
+            ),
+        ],
+        ids=["random-scale", "correlated-scale"],
+    )
+    def test_full_graph_moments(self, Lam, xi):
         rng = np.random.default_rng(19)
-        d, xi = 3, 9.0
-        Lam = random_spd(d, rng)
+        d = 3
         p = CommonIGW(Graph.FULL, xi, Lam)
         X = dist.igw_sample(p, rng, size=200_000)
         assert X.shape == (200_000, d, d)
-        assert_allclose(X, np.swapaxes(X, 1, 2))
+        assert np.array_equal(X, np.swapaxes(X, 1, 2))
         # E(X^{-1}) = (xi - d + 1) Lambda^{-1}
         inv_mean = np.linalg.inv(X).mean(axis=0)
         expected = (xi - d + 1) * np.linalg.inv(Lam)
@@ -365,17 +378,46 @@ class TestMoonRock:
         se = x.std() / np.sqrt(x.size)
         assert abs(x.mean() - dist.moonrock_mean(p)) < 4 * se
 
-    def test_sampler_ks_against_grid_cdf(self):
-        p = MoonRockParams(3.0, 4.0)
-        rng = np.random.default_rng(43)
-        x = dist.moonrock_sample(p, rng, size=20_000)
-        # numerical CDF from an independent dense grid
-        t = np.linspace(1e-9, 80.0, 2_000_001)
-        pdf = np.exp(dist.moonrock_log_density(p, t))
-        cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(t))))
-        cdf /= cdf[-1]
-        ks = stats.kstest(x, lambda q: np.interp(q, t, cdf))
-        assert ks.pvalue > 1e-4
+    @staticmethod
+    def _dense_cdf(alpha, beta):
+        # independent of the module's quadrature and range rule: the kernel
+        # {t^t/Gamma(t)}^alpha e^{-beta t} by the trapezoid rule on a dense
+        # uniform grid in t, up to 60, past all but a negligible tail of the
+        # members tested here (e^-60 for the exponential)
+        t = np.linspace(1e-12, 60.0, 2_000_001)
+        logk = alpha * (xlogy(t, t) - gammaln(t)) - beta * t
+        k = np.exp(logk - logk.max())
+        cdf = np.concatenate(([0.0], np.cumsum(0.5 * (k[1:] + k[:-1]) * np.diff(t))))
+        return t, cdf / cdf[-1]
+
+    @pytest.mark.parametrize(
+        "ab", [(3.0, 4.0), (300.0, 310.0), (0.0, 1.0)], ids=["3-4", "300-310", "0-1"]
+    )
+    def test_sampler_ks_against_grid_cdf(self, ab):
+        p = MoonRockParams(*ab)
+        x = dist.moonrock_sample(p, np.random.default_rng(43), size=20_000)
+        t, cdf = self._dense_cdf(*ab)
+        assert stats.kstest(x, lambda q: np.interp(q, t, cdf)).pvalue > 1e-4
+
+    # rtol is about a tenth of each member's CDF grid spacing in s = log t
+    # (6.7e-4 and 1.8e-2): linear interpolation in s keeps a quantile well
+    # inside its grid cell
+    @pytest.mark.parametrize("ab, rtol", [((300.0, 310.0), 7e-5), ((0.0, 1.0), 2e-3)])
+    def test_quantile_against_dense_reference(self, ab, rtol):
+        prob = np.array([0.01, 0.5, 0.99, 1.0 - 1e-6])
+        t, cdf = self._dense_cdf(*ab)
+        got = dist.moonrock_quantile(MoonRockParams(*ab), prob)
+        assert_allclose(got, np.interp(prob, cdf, t), rtol=rtol)
+
+    def test_sampling_builds_no_normalizer_grid(self):
+        # the sampler and the quantile use their own CDF grid; the quadrature
+        # grid behind the normalizer is built only when a moment asks for it
+        p = MoonRockParams(300.0, 310.0)
+        dist.moonrock_sample(p, np.random.default_rng(0), size=10)
+        dist.moonrock_quantile(p, 0.5)
+        assert "_grid" not in vars(p)
+        dist.moonrock_mean(p)
+        assert "_grid" in vars(p)
 
     def test_rejects_nonpositive_points(self):
         p = MoonRockParams(1.0, 2.0)

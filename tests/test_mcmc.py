@@ -73,6 +73,34 @@ def test_coefficient_conditional_matches_ridge_solution():
     assert np.allclose(emp_cov, np.linalg.inv(M), atol=6 * np.max(se) * np.sqrt(n) * np.max(se))
 
 
+class _ZeroNormal:
+    """An rng stand-in whose standard normal draws are all zero."""
+
+    def standard_normal(self, size):
+        return np.zeros(size)
+
+
+def test_coefficient_draw_without_noise_is_the_conditional_mean():
+    rng = np.random.default_rng(12)
+    data, _ = tlmm.simulate(seed=3, n_groups=4, group_size=7)
+    des = tlmm.assemble_design(data)
+    p, q, m = des.n_fixed, des.n_random, des.n_groups
+    b = rng.uniform(0.3, 3.0, data.n_obs)
+    sigma2, fixed_scale = 0.6, 4.0
+    Sigma = np.array([[1.1, -0.4], [-0.4, 0.7]])
+    M = des.C.T @ np.diag(1.0 / b) @ des.C / sigma2
+    M[:p, :p] += np.eye(p) / fixed_scale**2
+    for i in range(m):
+        s = p + i * q
+        M[s : s + q, s : s + q] += np.linalg.inv(Sigma)
+    rhs = des.C.T @ (data.y / b) / sigma2
+    got = mcmc.draw_coefficients(_ZeroNormal(), data.y, des.C, b, sigma2, Sigma, fixed_scale, p, m)
+    # two factorizations of M agree to rounding times its condition number
+    expected = np.linalg.solve(M, rhs)
+    bound = 100 * np.finfo(float).eps * np.linalg.cond(M) * np.linalg.norm(expected)
+    assert np.linalg.norm(got - expected) <= bound
+
+
 def test_prior_only_correlation_is_uniform():
     hyper = tlmm.TLMMHyper(random_scales=(1.0, 2.0))
     chain = mcmc.gibbs_fit(None, hyper, mcmc.GibbsConfig(warmup=200, kept=3000, seed=3))
@@ -162,10 +190,12 @@ def test_df_half_conditional_sampler_mean():
     params = MoonRockParams(5.0, 10.0)
     draws = moonrock_sample(params, rng, size=100_000)
     assert abs(np.mean(draws) / moonrock_mean(params) - 1.0) < 0.01
-    # and draw_df_half reaches the same distribution through its b argument
+    # and draw_df_half reaches the same distribution through its b argument:
+    # alpha = b.size = 5, beta = 5 + sum(log 1 + 1/1) = 10
     rng2 = np.random.default_rng(1)
-    one = mcmc.draw_df_half(rng2, np.ones(5), 5.0)
-    assert one > 0
+    ups = np.array([mcmc.draw_df_half(rng2, np.ones(5), 5.0) for _ in range(4000)])
+    se = ups.std(ddof=1) / np.sqrt(ups.size)
+    assert abs(ups.mean() - moonrock_mean(params)) < 4 * se
 
 
 def test_summarize_requires_enough_draws():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from igwvmp import fragments as fr
 from igwvmp import matops, tlmm
-from igwvmp.distributions import Graph, MoonRockParams, igw_to_natural
+from igwvmp.distributions import Graph, MoonRockParams, igw_to_natural, moonrock_mean
 from igwvmp.errors import (
     DimensionMismatch,
     DomainError,
@@ -295,6 +295,20 @@ def test_nu_grid_integrates_to_one(example_fit):
     assert abs(mass - 1.0) < 1e-6
     assert np.all(s.nu_density >= 0)
     assert s.nu_grid.shape == (401,)
+
+
+def test_df_outputs_are_smooth_in_beta():
+    # q(upsilon) of the VMP fit to tlmm.simulate(seed=1, n_groups=10,
+    # group_size=15, df=100) at tol 1e-10. One ulp more of beta may move its
+    # mean and the upper end of the nu density grid by rounding only (a
+    # finite-difference curvature for the panel width amplifies it to 1e-8)
+    alpha, beta = 150.0, 150.6716682511638
+    p0 = MoonRockParams(alpha, beta)
+    p1 = MoonRockParams(alpha, np.nextafter(beta, np.inf))
+    assert abs(moonrock_mean(p1) / moonrock_mean(p0) - 1.0) < 1e-12
+    end0 = tlmm.df_density_grid(p0)[0][-1]
+    end1 = tlmm.df_density_grid(p1)[0][-1]
+    assert abs(end1 / end0 - 1.0) < 1e-12
 
 
 def test_summary_to_dict_is_json_ready(example_fit):
