@@ -2,8 +2,8 @@
 
 Covers the Inverse G-Wishart family (full and diagonal graphs) in both its
 common (shape, scale) and natural parameterizations, the Inverse Chi-Squared
-building block, multivariate normal natural-parameter maps in vech form, and
-the Moon Rock family with its quadrature-based normalizer.
+building block, and the Moon Rock family with its quadrature-based
+normalizer.
 
 Density evaluations return log values throughout; probability-scale numbers
 are only ever formed at the final reporting stage.
@@ -26,7 +26,6 @@ from .errors import (
     ImproperMessage,
     InvalidHyperparameter,
     InvalidShape,
-    NonSPDPrecision,
     NonSPDScale,
 )
 
@@ -46,9 +45,6 @@ __all__ = [
     "inv_chisq_mean_log",
     "inv_chisq_sqrt_mean",
     "inv_chisq_sqrt_sd",
-    "NaturalMVN",
-    "mvn_to_natural",
-    "mvn_from_natural",
     "MoonRockParams",
     "moonrock_log_normalizer",
     "moonrock_normalizer",
@@ -353,65 +349,6 @@ def inv_chisq_sqrt_sd(delta: float, lam: float) -> float:
         raise DomainError("sd(sigma) needs delta > 2")
     second = lam / (delta - 2.0)
     return float(np.sqrt(max(second - inv_chisq_sqrt_mean(delta, lam) ** 2, 0.0)))
-
-
-# ---------------------------------------------------------------------------
-# Multivariate normal, natural form
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NaturalMVN:
-    """Gaussian natural parameters in vech form: for x ~ N(mu, Sigma),
-    eta1 = Sigma^{-1} mu and eta2 = -D_k^T vec(Sigma^{-1})/2."""
-
-    eta1: np.ndarray
-    eta2: np.ndarray
-
-    def __post_init__(self):
-        eta1 = np.asarray(self.eta1, dtype=float).copy()
-        eta2 = np.asarray(self.eta2, dtype=float).copy()
-        k = eta1.size
-        if eta2.size != matops.vech_len(k):
-            raise NonSPDPrecision(
-                f"eta2 must have length {matops.vech_len(k)}, got {eta2.size}"
-            )
-        eta1.flags.writeable = False
-        eta2.flags.writeable = False
-        object.__setattr__(self, "eta1", eta1)
-        object.__setattr__(self, "eta2", eta2)
-
-    @property
-    def dim(self) -> int:
-        return self.eta1.size
-
-    @classmethod
-    def from_vector(cls, eta: np.ndarray, k: int) -> "NaturalMVN":
-        eta = np.asarray(eta, dtype=float)
-        return cls(eta[:k], eta[k:])
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate((self.eta1, self.eta2))
-
-
-def mvn_to_natural(mu: np.ndarray, Sigma: np.ndarray) -> NaturalMVN:
-    mu = np.asarray(mu, dtype=float)
-    Sigma = np.atleast_2d(np.asarray(Sigma, dtype=float))
-    if not matops.is_spd(Sigma):
-        raise NonSPDPrecision("covariance must be SPD")
-    P = np.linalg.inv(Sigma)
-    P = 0.5 * (P + P.T)
-    return NaturalMVN(P @ mu, -0.5 * matops.fold_vech(P))
-
-
-def mvn_from_natural(n: NaturalMVN):
-    """Recover (mu, Sigma): Sigma = -{vec^{-1}(D^{+T} eta2)}^{-1}/2, mu = Sigma eta1."""
-    P = -2.0 * matops.unfold_vech(n.eta2)
-    if not matops.is_spd(P):
-        raise NonSPDPrecision("natural vector implies a non-SPD precision")
-    Sigma = np.linalg.inv(P)
-    Sigma = 0.5 * (Sigma + Sigma.T)
-    return Sigma @ n.eta1, Sigma
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,11 @@ Messages on variance-type nodes are natural vectors for the sufficient
 statistic (log|X|, vech(X^{-1})) carrying an Inverse G-Wishart graph tag;
 diag-tagged vectors keep their off-diagonal vech entries at zero (those
 entries carry no information under the diagonal graph, and zeroing them makes
-message equality checks exact). Messages on Gaussian nodes use the vech-form
-natural vector, and messages on Moon Rock nodes the pair (alpha, -beta).
+message equality checks exact). Messages on the Gaussian coefficient node
+are (eta1, arrowhead entries of eta2), eta2 being the vech-form
+-D_k^T vec(P)/2 of a precision P that is zero off the arrowhead
+(``matops.fold_arrowhead``), and messages on Moon Rock nodes the pair
+(alpha, -beta).
 """
 
 from typing import NamedTuple
@@ -145,7 +148,7 @@ def moonrock_prior_update(alpha: float, beta: float) -> np.ndarray:
 
 def gaussian_penalization_update(
     mean_coeffs: np.ndarray,
-    cov_coeffs: np.ndarray,
+    cov_coeffs: matops.Arrowhead,
     n_fixed: int,
     n_groups: int,
     sigma_beta: float,
@@ -153,27 +156,25 @@ def gaussian_penalization_update(
 ) -> GaussianPenalizationResult:
     """Update for the factor N((beta, u); 0, blockdiag(sigma_beta^2 I, I (x) Sigma)).
 
-    ``mean_coeffs`` and ``cov_coeffs`` are the current moments of
-    q(beta, u); ``mean_inv_variance`` is E_q(Sigma^{-1}).
+    ``mean_coeffs`` and ``cov_coeffs`` (arrowhead blocks) are the current
+    moments of q(beta, u); ``mean_inv_variance`` is E_q(Sigma^{-1}).
     """
     q = mean_inv_variance.shape[0]
     k = n_fixed + n_groups * q
-    if mean_coeffs.size != k or cov_coeffs.shape != (k, k):
+    if mean_coeffs.size != k or cov_coeffs.blocks.shape != (n_groups, q, q):
         raise InvalidShape(
-            f"coefficient moments must have dimension {k}, got "
-            f"{mean_coeffs.size} and {cov_coeffs.shape}"
+            f"coefficient moments must have dimension {k} with {n_groups} "
+            f"{q} x {q} blocks, got {mean_coeffs.size} and {cov_coeffs.blocks.shape}"
         )
-    precision = matops.blockdiag(
-        [np.eye(n_fixed) / sigma_beta**2]
-        + [mean_inv_variance for _ in range(n_groups)]
+    precision = matops.Arrowhead(
+        np.eye(n_fixed) / sigma_beta**2,
+        np.zeros((n_groups, n_fixed, q)),
+        np.broadcast_to(mean_inv_variance, (n_groups, q, q)),
     )
-    to_coefficients = np.concatenate((np.zeros(k), -0.5 * matops.fold_vech(precision)))
+    to_coefficients = np.concatenate((np.zeros(k), -0.5 * matops.fold_arrowhead(precision)))
 
-    S = np.zeros((q, q))
-    for i in range(n_groups):
-        sl = slice(n_fixed + i * q, n_fixed + (i + 1) * q)
-        mu_i = mean_coeffs[sl]
-        S += np.outer(mu_i, mu_i) + cov_coeffs[sl, sl]
+    u = mean_coeffs[n_fixed:].reshape(n_groups, q)
+    S = u.T @ u + cov_coeffs.blocks.sum(axis=0)
     eta_var = np.concatenate(([-n_groups / 2.0], -0.5 * matops.fold_vech(S)))
     return GaussianPenalizationResult(
         to_coefficients, IGWMessage(eta_var, Graph.FULL)
@@ -182,9 +183,9 @@ def gaussian_penalization_update(
 
 def t_likelihood_update(
     y: np.ndarray,
-    C: np.ndarray,
+    design,
     mean_coeffs: np.ndarray,
-    cov_coeffs: np.ndarray,
+    cov_coeffs: matops.Arrowhead,
     mean_inv_noise: float,
     mean_df_half: float,
 ) -> TLikelihoodResult:
@@ -193,24 +194,21 @@ def t_likelihood_update(
     The responses enter through y_l | coeffs, sigma^2, b_l ~ N((C coeffs)_l,
     sigma^2 b_l) with b_l | upsilon ~ Inverse-chi^2(2 upsilon, 2 upsilon); the
     b_l are marginalized in closed form every update, so no messages are
-    stored on them.
+    stored on them. ``design`` is the index-form C (``tlmm.DesignInfo``)
+    and ``cov_coeffs`` the arrowhead blocks of the coefficient covariance.
     """
     y = np.asarray(y, dtype=float)
-    C = np.asarray(C, dtype=float)
     n = y.size
-    resid = y - C @ mean_coeffs
-    r = resid**2 + ((C @ cov_coeffs) * C).sum(axis=1)
+    resid = y - design.predict(mean_coeffs)
+    r = resid**2 + design.row_variance(cov_coeffs)
 
     b_shape = 2.0 * mean_df_half + 1.0
     b_rates = 2.0 * mean_df_half + mean_inv_noise * r
     mean_inv_b = inv_chisq_mean_inverse(b_shape, b_rates)
     mean_log_b = inv_chisq_mean_log(b_shape, b_rates)
 
-    W = mean_inv_b
-    CtW = C.T * W
-    to_coefficients = np.concatenate(
-        (mean_inv_noise * (CtW @ y), -0.5 * mean_inv_noise * matops.fold_vech(CtW @ C))
-    )
+    cross_y, gram = design.weighted_cross(mean_inv_b, y)
+    to_coefficients = np.concatenate((mean_inv_noise * cross_y, -0.5 * mean_inv_noise * gram))
     to_noise = IGWMessage(
         np.array([-n / 2.0, -0.5 * float(np.sum(mean_inv_b * r))]), Graph.FULL
     )

@@ -15,9 +15,19 @@ vec^{-1}(D_d^{+T} eta), are pure index arithmetic on the vech positions
 (``fold_vech`` and ``unfold_vech``), so no d^2 x d(d+1)/2 matrix is built
 while fitting. The dense duplication matrices and their Moore-Penrose
 inverses are kept as the test oracle for those maps.
+
+The Gaussian coefficient node of the mixed model has an arrowhead
+precision: p x p fixed-effect entries, m border blocks of p x q and m
+diagonal q x q blocks, with zeros elsewhere. ``Arrowhead`` holds those
+blocks; ``vech_arrowhead``, ``fold_arrowhead`` and ``unfold_arrowhead`` are
+``vech``, ``fold_vech`` and ``unfold_vech`` restricted to them; and
+``arrowhead_cholesky`` with its solves and moments works on them in O(m)
+time and memory.
 """
 
+import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,10 +41,19 @@ __all__ = [
     "fold_vech",
     "unfold_vech",
     "zero_offdiag_vech",
+    "Arrowhead",
+    "ArrowheadCholesky",
+    "arrowhead_len",
+    "vech_arrowhead",
+    "fold_arrowhead",
+    "unfold_arrowhead",
+    "arrowhead_cholesky",
+    "arrowhead_forward",
+    "arrowhead_backward",
+    "arrowhead_moments",
     "duplication",
     "duplication_pinv",
     "is_spd",
-    "blockdiag",
     "vech_len",
     "dim_from_vech_len",
 ]
@@ -45,6 +64,7 @@ def vech_len(d: int) -> int:
     return d * (d + 1) // 2
 
 
+@lru_cache(maxsize=None)
 def dim_from_vech_len(n: int) -> int:
     """Recover d from d(d+1)/2, erroring if n is not of that form."""
     d = int(round((np.sqrt(8 * n + 1) - 1) / 2))
@@ -120,14 +140,15 @@ def _vech_diag_positions(d: int):
 
 def fold_vech(A: np.ndarray) -> np.ndarray:
     """D_d^T vec(A) without forming D_d: vech(A + A^T) with the diagonal
-    entries taken once. ``A`` need not be symmetric."""
+    entries taken once. ``A`` need not be symmetric; a stack (..., d, d)
+    is folded matrix by matrix."""
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatch(f"fold_vech expects a square matrix, got shape {A.shape}")
-    d = A.shape[0]
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise DimensionMismatch(f"fold_vech expects square matrices, got shape {A.shape}")
+    d = A.shape[-1]
     rows, cols = _vech_lower_indices(d)
-    out = A[rows, cols] + A[cols, rows]
-    out[_vech_diag_positions(d)] = np.diagonal(A)
+    out = A[..., rows, cols] + A[..., cols, rows]
+    out[..., _vech_diag_positions(d)] = np.diagonal(A, axis1=-2, axis2=-1)
     return out
 
 
@@ -182,35 +203,230 @@ def duplication_pinv(d: int) -> np.ndarray:
     return Dp
 
 
+def spd_threshold(diagonal: np.ndarray) -> float:
+    """1e-12 times the largest diagonal entry (0 if none is positive): the
+    margin by which every eigenvalue of an SPD matrix must exceed zero."""
+    return 1e-12 * max(float(diagonal.max()), 0.0)
+
+
 def is_spd(M: np.ndarray) -> bool:
     """Whether a symmetric matrix is positive definite.
 
-    All eigenvalues must exceed 1e-12 times the largest diagonal entry.
+    All eigenvalues must exceed t = ``spd_threshold(diag(M))``; that holds
+    exactly when M - t I has a Cholesky factor. Non-finite entries fail.
     """
     M = np.asarray(M, dtype=float)
-    M = 0.5 * (M + M.T)
-    threshold = 1e-12 * max(float(np.max(np.diag(M))), 0.0)
+    # twice the symmetric part: the doubling is exact and the test scale-free
+    S = M + M.T
+    if not math.isfinite(S.sum()):
+        return False
+    S.flat[:: S.shape[0] + 1] -= spd_threshold(S.diagonal())
     try:
-        smallest = float(np.linalg.eigvalsh(M)[0])
+        np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
         return False
-    return bool(np.isfinite(smallest) and smallest > threshold)
+    return True
 
 
-def blockdiag(blocks) -> np.ndarray:
-    """Direct sum of matrices (rectangular blocks allowed).
+# ---------------------------------------------------------------------------
+# arrowhead matrices
+# ---------------------------------------------------------------------------
 
-    An empty list yields a 0 x 0 matrix.
+
+class Arrowhead(NamedTuple):
+    """The nonzero blocks of a symmetric k x k matrix, k = p + m q, whose
+    first p rows and columns (the corner) are dense and whose remaining
+    rows and columns split into m groups of q coupled only to themselves
+    and to the corner.
+
+    ``corner`` is p x p, ``border[i]`` (m x p x q) the corner rows of group
+    i's columns, and ``blocks[i]`` (m x q x q) group i's diagonal block.
     """
-    mats = [np.atleast_2d(np.asarray(b, dtype=float)) for b in blocks]
-    if not mats:
-        return np.zeros((0, 0))
-    rows = sum(b.shape[0] for b in mats)
-    cols = sum(b.shape[1] for b in mats)
-    out = np.zeros((rows, cols))
-    r = c = 0
-    for b in mats:
-        out[r:r + b.shape[0], c:c + b.shape[1]] = b
-        r += b.shape[0]
-        c += b.shape[1]
-    return out
+
+    corner: np.ndarray
+    border: np.ndarray
+    blocks: np.ndarray
+
+
+class ArrowheadCholesky(NamedTuple):
+    """Lower-triangular L with L L^T equal to an arrowhead matrix, its
+    variables ordered groups first and corner last so that L has no fill:
+
+        L = [[blockdiag(L_1, ..., L_m), 0], [[K_1 ... K_m], L_c]].
+
+    ``blocks`` holds the L_i (m x q x q) and ``blocks_inv`` their inverses,
+    ``border`` the p x mq row [K_1 ... K_m] with K_i = B_i L_i^{-T}, and
+    ``corner``/``corner_inv`` the factor L_c of the Schur complement
+    A - sum_i K_i K_i^T and its inverse.
+    """
+
+    blocks: np.ndarray
+    blocks_inv: np.ndarray
+    border: np.ndarray
+    corner: np.ndarray
+    corner_inv: np.ndarray
+
+
+def arrowhead_len(p: int, q: int, m: int) -> int:
+    """Number of arrowhead entries in vech of the k x k matrix."""
+    return vech_len(p) + m * (p * q + vech_len(q))
+
+
+@lru_cache(maxsize=16)
+def _arrowhead_layout(p: int, q: int, m: int):
+    """Index maps between the raveled blocks (corner, border, blocks) and
+    the arrowhead's vech layout (vech(corner), border group by group, vech
+    of each block): each block entry's layout position, each layout
+    entry's block position, and each layout entry's fold factor (1 on the
+    diagonal, else 2) and its inverse at each block entry."""
+
+    def square(d, groups, layout_start, flat_start):
+        # a stack of d x d symmetric blocks
+        rows, cols = _vech_lower_indices(d)
+        pos = np.empty((d, d), dtype=np.intp)
+        pos[rows, cols] = pos[cols, rows] = np.arange(rows.size)
+        g = np.arange(groups)[:, None]
+        return (
+            (layout_start + rows.size * g + pos.ravel()).ravel(),
+            (flat_start + d * d * g + rows * d + cols).ravel(),
+            np.tile(rows == cols, groups),
+        )
+
+    n_border = m * p * q
+    border = np.arange(n_border)
+    parts = (
+        square(p, 1, 0, 0),
+        (vech_len(p) + border, p * p + border, np.zeros(n_border, dtype=bool)),
+        square(q, m, vech_len(p) + n_border, p * p + n_border),
+    )
+    to_layout, from_layout, diagonal = (np.concatenate(part) for part in zip(*parts))
+    fold = np.where(diagonal, 1.0, 2.0)
+    maps = (to_layout, from_layout, fold, 1.0 / fold[to_layout])
+    for a in maps:
+        a.flags.writeable = False
+    return maps
+
+
+def vech_arrowhead(a: Arrowhead) -> np.ndarray:
+    """The arrowhead entries of vech of a symmetric k x k matrix: vech(corner),
+    then the border (group by group, each p x q block row-major), then vech
+    of each diagonal block."""
+    m, p, q = a.border.shape
+    _, from_layout, _, _ = _arrowhead_layout(p, q, m)
+    flat = np.concatenate((a.corner.ravel(), a.border.ravel(), a.blocks.ravel()))
+    return flat[from_layout]
+
+
+def fold_arrowhead(a: Arrowhead) -> np.ndarray:
+    """``fold_vech`` of a symmetric k x k matrix, restricted to its
+    arrowhead entries: ``vech_arrowhead`` with the off-diagonal entries
+    doubled."""
+    m, p, q = a.border.shape
+    _, _, fold, _ = _arrowhead_layout(p, q, m)
+    return vech_arrowhead(a) * fold
+
+
+def unfold_arrowhead(v: np.ndarray, p: int, q: int, m: int) -> Arrowhead:
+    """Inverse of ``fold_arrowhead``: ``unfold_vech`` of a vector that is
+    zero off the arrowhead, returned in blocks."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (arrowhead_len(p, q, m),):
+        raise DimensionMismatch(
+            f"an arrowhead with p={p}, q={q}, m={m} has {arrowhead_len(p, q, m)} "
+            f"entries, got shape {v.shape}"
+        )
+    to_layout, _, _, unfold = _arrowhead_layout(p, q, m)
+    out = v[to_layout] * unfold
+    b = p * p + m * p * q
+    return Arrowhead(
+        out[: p * p].reshape(p, p), out[p * p : b].reshape(m, p, q), out[b:].reshape(m, q, q)
+    )
+
+
+def _lower_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverses of a stack (..., d, d) of lower-triangular matrices, by
+    forward substitution over their d rows, vectorized over the stack."""
+    d = L.shape[-1]
+    inv_diag = 1.0 / L.diagonal(axis1=-2, axis2=-1)
+    X = np.zeros_like(L)
+    X[..., 0, 0] = inv_diag[..., 0]
+    for j in range(1, d):
+        earlier = (L[..., j : j + 1, :j] @ X[..., :j, :])[..., 0, :]
+        X[..., j, :] = -earlier * inv_diag[..., j, None]
+        X[..., j, j] = inv_diag[..., j]
+    return X
+
+
+def arrowhead_cholesky(a: Arrowhead, shift: float = 0.0) -> ArrowheadCholesky:
+    """Block Cholesky factor of an arrowhead matrix minus ``shift`` times
+    the identity. Raises np.linalg.LinAlgError unless that is positive
+    definite with a finite factor."""
+    m, p, q = a.border.shape
+    blocks, corner = a.blocks, a.corner
+    if shift:
+        blocks = blocks - shift * np.eye(q)
+        corner = corner - shift * np.eye(p)
+    L = np.linalg.cholesky(blocks)
+    L_inv = _lower_inverse(L)
+    K = np.swapaxes(a.border @ np.swapaxes(L_inv, -1, -2), 0, 1).reshape(p, m * q)
+    L_c = np.linalg.cholesky(corner - K @ K.T)
+    if not math.isfinite(L.sum() + L_c.sum()):
+        raise np.linalg.LinAlgError("arrowhead matrix is not finite")
+    return ArrowheadCholesky(L, L_inv, K, L_c, np.linalg.inv(L_c))
+
+
+def arrowhead_forward(L: ArrowheadCholesky, r: np.ndarray) -> np.ndarray:
+    """L^{-1} r, with r and the result in corner-first order (corner
+    entries, then group 1, ..., group m)."""
+    p = L.corner.shape[0]
+    v_groups = (L.blocks_inv @ r[p:].reshape(-1, L.blocks.shape[-1], 1)).ravel()
+    v_corner = L.corner_inv @ (r[:p] - L.border @ v_groups)
+    return np.concatenate((v_corner, v_groups))
+
+
+def arrowhead_backward(L: ArrowheadCholesky, v: np.ndarray) -> np.ndarray:
+    """L^{-T} v, in the same order as ``arrowhead_forward``."""
+    p = L.corner.shape[0]
+    x_corner = L.corner_inv.T @ v[:p]
+    w = v[p:] - L.border.T @ x_corner
+    x_groups = np.swapaxes(L.blocks_inv, -1, -2) @ w.reshape(-1, L.blocks.shape[-1], 1)
+    return np.concatenate((x_corner, x_groups.ravel()))
+
+
+def arrowhead_moments(L: ArrowheadCholesky, h: np.ndarray, dense: bool = False):
+    """(M^{-1} h, M^{-1}) for the factored M = L L^T: the mean and the
+    covariance of the Gaussian with precision M and natural parameter h
+    (corner-first order). The covariance comes as its arrowhead blocks, or
+    with ``dense`` as the full k x k matrix.
+
+    With D_i = L_i L_i^T the groups' blocks, H_i = K_i L_i^{-1} = B_i D_i^{-1}
+    and S^{-1} = L_c^{-T} L_c^{-1} the inverse Schur complement, M^{-1} has
+    corner S^{-1}, border -S^{-1} H_i and group-pair blocks
+    delta_ij D_i^{-1} + H_i^T S^{-1} H_j, of which the arrowhead keeps
+    i = j. The mean's corner is S^{-1}(h_c - sum_i H_i h_i) and its group
+    i part D_i^{-1} h_i - H_i^T times the corner.
+    """
+    m, q = L.blocks.shape[:2]
+    p = L.corner.shape[0]
+    corner = L.corner_inv.T @ L.corner_inv
+    corner = 0.5 * (corner + corner.T)
+    H = np.einsum("ams,msr->amr", L.border.reshape(p, m, q), L.blocks_inv).reshape(p, m * q)
+    D_inv = np.swapaxes(L.blocks_inv, -1, -2) @ L.blocks_inv
+    h_groups = h[p:]
+    mean_corner = corner @ (h[:p] - H @ h_groups)
+    mean_groups = (D_inv @ h_groups.reshape(m, q, 1)).ravel() - H.T @ mean_corner
+    mean = np.concatenate((mean_corner, mean_groups))
+    if not dense:
+        # the group blocks come out symmetric to rounding
+        H_groups = np.swapaxes(H.reshape(p, m, q), 0, 1)
+        border = -(corner @ H_groups)
+        return mean, Arrowhead(corner, border, D_inv - np.swapaxes(H_groups, -1, -2) @ border)
+    out = np.empty((p + m * q, p + m * q))
+    out[:p, :p] = corner
+    out[:p, p:] = -(corner @ H)
+    out[p:, :p] = out[:p, p:].T
+    groups = H.T @ corner @ H
+    diagonal = groups.reshape(m, q, m, q)[np.arange(m), :, np.arange(m), :] + D_inv
+    groups.reshape(m, q, m, q)[np.arange(m), :, np.arange(m), :] = diagonal
+    out[p:, p:] = 0.5 * (groups + groups.T)
+    return mean, out

@@ -7,12 +7,10 @@ two-parameter conjugate density. The sampler serves as a simulation
 ground truth for the variational fit.
 """
 
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.stats import gaussian_kde, norm
 
 from scipy.optimize import brentq
@@ -111,39 +109,31 @@ class ChainSummary:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _group_block_index(n_fixed: int, q: int, n_groups: int):
-    """Row and column indices, broadcasting to n_groups x q x q, of the
-    random-effects diagonal blocks of the coefficient precision."""
-    first = n_fixed + q * np.arange(n_groups)[:, None, None]
-    rows = first + np.arange(q)[:, None]
-    cols = first + np.arange(q)[None, :]
-    rows.flags.writeable = False
-    cols.flags.writeable = False
-    return rows, cols
-
-
-def draw_coefficients(rng, y, C, b, sigma2, Sigma, fixed_scale, n_fixed, n_groups):
+def draw_coefficients(rng, y, design, b, sigma2, Sigma, fixed_scale):
     """(beta, u) | rest is Gaussian with precision M = C'WC/sigma2 plus the
-    prior block diagonal, W = diag(1/b), and mean M^{-1} C'Wy/sigma2. With
-    M = L L' and z standard normal, the draw is L^{-T}(L^{-1} C'Wy/sigma2 + z)."""
-    CtW = C.T * (1.0 / b)
-    M = CtW @ C / sigma2
-    M[:n_fixed, :n_fixed] += np.eye(n_fixed) / fixed_scale**2
+    prior block diagonal, W = diag(1/b), and mean M^{-1} C'Wy/sigma2; C is
+    the index-form ``design``. M is an arrowhead, factored M = L L' by
+    ``matops.arrowhead_cholesky``; with z standard normal the draw is
+    L^{-T}(L^{-1} C'Wy/sigma2 + z)."""
+    p, q, m = design.n_fixed, design.n_random, design.n_groups
+    w = 1.0 / b
+    cross_y, gram = design.weighted_cross(w, y)
+    CtWC = matops.unfold_arrowhead(gram, p, q, m)
     try:
         Sig_inv = np.linalg.inv(Sigma)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure("random-effects covariance draw is singular") from exc
-    M[_group_block_index(n_fixed, Sigma.shape[0], n_groups)] += 0.5 * (Sig_inv + Sig_inv.T)
-    rhs = CtW @ y / sigma2
+    M = matops.Arrowhead(
+        CtWC.corner / sigma2 + np.eye(p) / fixed_scale**2,
+        CtWC.border / sigma2,
+        CtWC.blocks / sigma2 + 0.5 * (Sig_inv + Sig_inv.T),
+    )
     try:
-        L = np.linalg.cholesky(M)
+        L = matops.arrowhead_cholesky(M)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure("coefficient conditional precision is not SPD") from exc
-    z = rng.standard_normal(M.shape[0])
-    return solve_triangular(
-        L, solve_triangular(L, rhs, lower=True) + z, lower=True, trans="T"
-    )
+    z = rng.standard_normal(design.n_coefficients)
+    return matops.arrowhead_backward(L, matops.arrowhead_forward(L, cross_y / sigma2) + z)
 
 
 def draw_scale_mixture(rng, resid, sigma2, upsilon):
@@ -260,8 +250,8 @@ def gibbs_fit(
             f"{len(hyper.random_scales)}"
         )
     scales = np.asarray(hyper.random_scales, dtype=float)
-    y, C = data.y, des.C
-    k = p + m * q
+    y = data.y
+    k = des.n_coefficients
 
     theta = np.zeros(k)
     sigma2 = 1.0
@@ -289,7 +279,7 @@ def gibbs_fit(
     out_A = np.empty((cfg.kept, q))
 
     for it in range(cfg.warmup + cfg.kept):
-        resid = y - C @ theta
+        resid = y - des.predict(theta)
         b = draw_scale_mixture(rng, resid, sigma2, upsilon)
         upsilon = draw_df_half(rng, b, hyper.df_rate)
         sigma2 = draw_noise_variance(rng, resid, b, a_aux)
@@ -297,9 +287,7 @@ def gibbs_fit(
         u = theta[p:].reshape(m, q)
         Sigma = draw_random_cov(rng, u, A_diag)
         A_diag = draw_cov_auxiliary(rng, Sigma, scales)
-        theta = draw_coefficients(
-            rng, y, C, b, sigma2, Sigma, hyper.fixed_scale, p, m
-        )
+        theta = draw_coefficients(rng, y, des, b, sigma2, Sigma, hyper.fixed_scale)
         if it >= cfg.warmup:
             j = it - cfg.warmup
             out_coeff[j] = theta

@@ -20,7 +20,6 @@ from .distributions import (
     Graph,
     MoonRockParams,
     NaturalIGW,
-    NaturalMVN,
     combined_mean_inverse,
     igw_from_natural,
     implied_scale,
@@ -30,13 +29,13 @@ from .distributions import (
     moonrock_mean,
     moonrock_quantile,
     moonrock_variance,
-    mvn_from_natural,
 )
 from .errors import (
     DimensionMismatch,
     DomainError,
     ImproperMessage,
     InvalidHyperparameter,
+    NonSPDPrecision,
     NotConverged,
 )
 from .graph_engine import ConvergenceReport, Factor, FactorGraph, Message, Node
@@ -164,14 +163,112 @@ class TLMMHyper:
         return cls(random_scales=(1e5,) * n_random)
 
 
-class DesignInfo(NamedTuple):
-    """Assembled design: C = [X Z] with X the fixed-effects columns and Z
-    the group-block random-effects columns."""
+@dataclass(frozen=True, eq=False)
+class DesignInfo:
+    """Index form of the design C = [X Z_1 ... Z_m]: row l of C holds X[l]
+    in the p fixed-effect columns, Z[l] in the q columns of group[l]'s
+    random effects and zeros elsewhere.
 
-    C: np.ndarray
-    n_fixed: int
-    n_random: int
+    C itself is never formed. Products with it gather per row, and sums
+    over its rows (C^T W C and C^T W y) are one ``np.bincount`` of per-row
+    entries fixed at construction: fold_vech(x x^T), 2 x z^T and
+    fold_vech(z z^T), whose bins are their positions in
+    ``matops.fold_arrowhead``'s layout, then x and z, whose bins follow
+    those at their coefficients' positions.
+    """
+
+    X: np.ndarray
+    Z: np.ndarray
+    group: np.ndarray
     n_groups: int
+    _quad: np.ndarray = field(init=False, repr=False)
+    _values: np.ndarray = field(init=False, repr=False)
+    _columns: np.ndarray = field(init=False, repr=False)
+    _bins: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        X = np.array(self.X, dtype=float)
+        Z = np.array(self.Z, dtype=float)
+        group = np.array(self.group, dtype=np.intp)
+        n, m = group.size, self.n_groups
+        if X.ndim != 2 or Z.ndim != 2 or X.shape[0] != n or Z.shape[0] != n:
+            raise DimensionMismatch(
+                f"X {X.shape}, Z {Z.shape} and group {group.shape} must share their rows"
+            )
+        if n and not (0 <= group.min() and group.max() < m):
+            raise DimensionMismatch(f"group labels must lie in 0..{m - 1}")
+        p, q = X.shape[1], Z.shape[1]
+        quad = np.concatenate(
+            (
+                matops.fold_vech(X[:, :, None] * X[:, None, :]),
+                2.0 * (X[:, :, None] * Z[:, None, :]).reshape(n, p * q),
+                matops.fold_vech(Z[:, :, None] * Z[:, None, :]),
+            ),
+            axis=1,
+        )
+        # a row's entries sit in the corner (shared by all groups) and in
+        # its own group's border, block and coefficients
+        corner, border, block = matops.vech_len(p), p * q, matops.vech_len(q)
+        quad_bins = np.concatenate(
+            (
+                np.broadcast_to(np.arange(corner), (n, corner)),
+                corner + group[:, None] * border + np.arange(border),
+                corner + m * border + group[:, None] * block + np.arange(block),
+            ),
+            axis=1,
+        )
+        columns = np.concatenate(
+            (np.broadcast_to(np.arange(p), (n, p)), p + group[:, None] * q + np.arange(q)),
+            axis=1,
+        )
+        bins = np.concatenate(
+            (quad_bins.ravel(), matops.arrowhead_len(p, q, m) + columns.ravel())
+        )
+        fields = {
+            "X": X,
+            "Z": Z,
+            "group": group,
+            "_quad": quad,
+            "_values": np.concatenate((X, Z), axis=1),
+            "_columns": columns,
+            "_bins": bins,
+        }
+        for name, value in fields.items():
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    @property
+    def n_fixed(self) -> int:
+        return self.X.shape[1]
+
+    @property
+    def n_random(self) -> int:
+        return self.Z.shape[1]
+
+    @property
+    def n_coefficients(self) -> int:
+        return self.n_fixed + self.n_groups * self.n_random
+
+    def predict(self, coefficients: np.ndarray) -> np.ndarray:
+        """C theta for theta = (beta, u_1, ..., u_m)."""
+        return np.einsum("lj,lj->l", self._values, coefficients.take(self._columns))
+
+    def row_variance(self, cov: matops.Arrowhead) -> np.ndarray:
+        """diag(C S C^T) for a symmetric S given by its arrowhead blocks."""
+        quad_bins = self._bins[: self._quad.size].reshape(self._quad.shape)
+        return np.einsum("le,le->l", self._quad, matops.vech_arrowhead(cov).take(quad_bins))
+
+    def weighted_cross(self, w: np.ndarray, y: np.ndarray):
+        """(C^T W y, fold_arrowhead(C^T W C)) for W = diag(w)."""
+        weighted = np.empty(self._bins.size)
+        split = self._quad.size
+        np.multiply(self._quad, w[:, None], out=weighted[:split].reshape(self._quad.shape))
+        np.multiply(
+            self._values, (w * y)[:, None], out=weighted[split:].reshape(self._values.shape)
+        )
+        arrow = matops.arrowhead_len(self.n_fixed, self.n_random, self.n_groups)
+        sums = np.bincount(self._bins, weighted, minlength=arrow + self.n_coefficients)
+        return sums[arrow:], sums[:arrow]
 
 
 class TLMMTruth(NamedTuple):
@@ -191,7 +288,7 @@ def design_sizes(design: str) -> tuple:
 
 
 def assemble_design(data: TLMMData, design: str = "slope") -> DesignInfo:
-    """Build C = [X Z].
+    """The index-form design C = [X Z] of ``data``.
 
     ``slope`` and ``intercept`` pair fixed intercept-plus-predictor columns
     with a random intercept and slope (q=2) or a random intercept alone
@@ -209,13 +306,7 @@ def assemble_design(data: TLMMData, design: str = "slope") -> DesignInfo:
     else:  # micro
         X = ones[:, None]
         z = ones[:, None]
-    q = z.shape[1]
-    m = data.n_groups
-    Z = np.zeros((data.n_obs, m * q))
-    rows = np.arange(data.n_obs)
-    for j in range(q):
-        Z[rows, data.group * q + j] = z[:, j]
-    return DesignInfo(np.hstack((X, Z)), X.shape[1], q, m)
+    return DesignInfo(X, z, data.group, data.n_groups)
 
 
 def coefficient_names(n_fixed: int, n_random: int, n_groups: int):
@@ -272,7 +363,7 @@ def simulate(
     data0 = TLMMData(np.zeros(n), x, group)
     des = assemble_design(data0, design)
     coeffs = np.concatenate((beta, u.ravel()))
-    y = des.C @ coeffs + np.sqrt(noise_variance) * rng.standard_t(df, size=n)
+    y = des.predict(coeffs) + np.sqrt(noise_variance) * rng.standard_t(df, size=n)
     return (
         TLMMData(y, x, group),
         TLMMTruth(beta, u, float(noise_variance), Sigma, float(df)),
@@ -284,9 +375,35 @@ def simulate(
 # ---------------------------------------------------------------------------
 
 
-def extract_gaussian(eta: np.ndarray, k: int):
-    """Mean and covariance of the Gaussian with vech-form natural vector."""
-    return mvn_from_natural(NaturalMVN.from_vector(np.asarray(eta, dtype=float), k))
+def extract_gaussian(
+    eta: np.ndarray, n_fixed: int, n_random: int, n_groups: int, dense: bool = False
+):
+    """Mean and covariance of the coefficients' Gaussian from its natural
+    vector: eta1 = P mu, then the arrowhead entries of eta2 = -D_k^T vec(P)/2
+    (``matops.fold_arrowhead``), every other entry of eta2 being zero.
+
+    The covariance comes back as ``matops.Arrowhead`` blocks, or as the
+    k x k matrix with ``dense``; both come from one block Cholesky factor
+    of P. Raises NonSPDPrecision unless every eigenvalue of P exceeds
+    t = ``matops.spd_threshold`` of its diagonal (``matops.is_spd``'s rule).
+    Every eigenvalue is at least 1/trace(P^{-1}), so a covariance trace
+    below 1/(2t) settles that; otherwise P - t I is factored to decide.
+    """
+    p, q, m = n_fixed, n_random, n_groups
+    k = p + m * q
+    eta = np.asarray(eta, dtype=float)
+    P = matops.unfold_arrowhead(-2.0 * eta[k:], p, q, m)
+    diagonal = np.concatenate((P.corner.diagonal(), P.blocks.diagonal(axis1=1, axis2=2).ravel()))
+    threshold = matops.spd_threshold(diagonal)
+    try:
+        L = matops.arrowhead_cholesky(P)
+        mean, cov = matops.arrowhead_moments(L, eta[:k], dense=dense)
+        trace = cov.trace() if dense else cov.corner.trace() + cov.blocks.trace(0, 1, 2).sum()
+        if not 2.0 * threshold * trace < 1.0:
+            matops.arrowhead_cholesky(P, shift=threshold)
+    except np.linalg.LinAlgError:
+        raise NonSPDPrecision("natural vector implies a non-SPD precision") from None
+    return mean, cov
 
 
 def extract_igw_full(eta: np.ndarray) -> CommonIGW:
@@ -450,7 +567,10 @@ def initial_messages(hyper: TLMMHyper, n_fixed: int, n_random: int, n_groups: in
     plan_cov = plan_prior(HuangWandSpec(scales=hyper.random_scales))
     plan_noise = plan_prior(HalfCauchySpec(scale=hyper.noise_scale))
     igw_init = np.concatenate(([-0.5], -0.5 * matops.fold_vech(np.eye(q))))
-    gauss_init = np.concatenate((np.zeros(k), -0.5 * matops.fold_vech(np.eye(k))))
+    identity = matops.Arrowhead(
+        np.eye(p), np.zeros((m, p, q)), np.broadcast_to(np.eye(q), (m, q, q))
+    )
+    gauss_init = np.concatenate((np.zeros(k), -0.5 * matops.fold_arrowhead(identity)))
     cov_msg = fr.igw_prior_update(plan_cov.prior_factor)
     noise_msg = fr.igw_prior_update(plan_noise.prior_factor)
     scalar_init = np.array([-2.0, -1.0])
@@ -470,7 +590,7 @@ def initial_messages(hyper: TLMMHyper, n_fixed: int, n_random: int, n_groups: in
     }
 
 
-def _assert_initial_proper(messages: dict, n_random: int, n_coeff: int):
+def _assert_initial_proper(messages: dict, n_fixed: int, n_random: int, n_groups: int):
     """Reject a start state whose messages are not simple legal vectors:
     implied scales and precisions SPD, shape entries negative, degrees-of
     freedom naturals with beta > alpha >= 0."""
@@ -483,7 +603,7 @@ def _assert_initial_proper(messages: dict, n_random: int, n_coeff: int):
                     f"initial message {factor} -> {node} is not a legal start vector"
                 )
         elif node == "coefficients":
-            mvn_from_natural(NaturalMVN.from_vector(eta, n_coeff))
+            extract_gaussian(eta, n_fixed, n_random, n_groups)
         elif node == "df_half":
             alpha, beta = eta[0], -eta[1]
             if not beta > alpha >= 0:
@@ -505,7 +625,6 @@ def build_graph(data: TLMMData, hyper: TLMMHyper, design="slope") -> FactorGraph
     """
     des = design if isinstance(design, DesignInfo) else assemble_design(data, design)
     p, q, m = des.n_fixed, des.n_random, des.n_groups
-    k = p + m * q
     if len(hyper.random_scales) != q:
         raise DimensionMismatch(
             f"{q} random-effect components need {q} scales, got "
@@ -513,14 +632,14 @@ def build_graph(data: TLMMData, hyper: TLMMHyper, design="slope") -> FactorGraph
         )
     plan_cov = plan_prior(HuangWandSpec(scales=hyper.random_scales))
     plan_noise = plan_prior(HalfCauchySpec(scale=hyper.noise_scale))
-    y, C = data.y, des.C
+    y = data.y
 
     nodes = [
         Node("cov_aux", 1 + matops.vech_len(q), tag=plan_cov.prior_factor.graph),
         Node("noise_aux", 2, tag=plan_noise.prior_factor.graph),
         Node("cov", 1 + matops.vech_len(q), tag=plan_cov.conditional.graph),
         Node("noise", 2, tag=plan_noise.conditional.graph),
-        Node("coefficients", k + matops.vech_len(k)),
+        Node("coefficients", des.n_coefficients + matops.arrowhead_len(p, q, m)),
         Node("df_half", 2),
     ]
 
@@ -560,7 +679,16 @@ def build_graph(data: TLMMData, hyper: TLMMHyper, design="slope") -> FactorGraph
         return iterated_update(g, "noise_conditional", "noise", "noise_aux", plan_noise)
 
     def gaussian_moments(g):
-        return extract_gaussian(g.q_star("coefficients").eta, k)
+        return extract_gaussian(g.q_star("coefficients").eta, p, q, m)
+
+    df_half_memo = []
+
+    def df_half_params(g):
+        # one instance, and so one Moon Rock grid, while q(df_half) is unchanged
+        eta = g.q_star("df_half").eta
+        if not (df_half_memo and np.array_equal(df_half_memo[0], eta)):
+            df_half_memo[:] = [eta, MoonRockParams.from_vector(eta)]
+        return df_half_memo[1]
 
     def coefficient_prior_update(g):
         mu, Sig = gaussian_moments(g)
@@ -574,8 +702,8 @@ def build_graph(data: TLMMData, hyper: TLMMHyper, design="slope") -> FactorGraph
     def composite(g):
         mu, Sig = gaussian_moments(g)
         inv_noise = float(combined_mean_inverse(g.q_star("noise").eta, Graph.FULL)[0, 0])
-        mean_df_half = moonrock_mean(MoonRockParams.from_vector(g.q_star("df_half").eta))
-        return fr.t_likelihood_update(y, C, mu, Sig, inv_noise, mean_df_half)
+        mean_df_half = moonrock_mean(df_half_params(g))
+        return fr.t_likelihood_update(y, des, mu, Sig, inv_noise, mean_df_half)
 
     def likelihood_update(g):
         res = composite(g)
@@ -614,7 +742,7 @@ def build_graph(data: TLMMData, hyper: TLMMHyper, design="slope") -> FactorGraph
     ]
     graph = FactorGraph(nodes, factors)
     inits = initial_messages(hyper, p, q, m)
-    _assert_initial_proper(inits, q, k)
+    _assert_initial_proper(inits, p, q, m)
     for (fac, node), msg in inits.items():
         graph.store(fac, node, msg)
     return graph
@@ -625,8 +753,7 @@ def summarize_graph(
 ) -> PosteriorSummary:
     """Extract the converged q densities in common parameters."""
     p, q, m = design.n_fixed, design.n_random, design.n_groups
-    k = p + m * q
-    mu, Sig = extract_gaussian(graph.q_star("coefficients").eta, k)
+    mu, Sig = extract_gaussian(graph.q_star("coefficients").eta, p, q, m, dense=True)
     variance = extract_igw_full(graph.q_star("cov").eta)
     delta, lam = extract_inv_chisq(graph.q_star("noise").eta)
     df_half = MoonRockParams.from_vector(graph.q_star("df_half").eta)

@@ -197,6 +197,19 @@ def test_fit_vmp_numerical_failure_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_fit_vmp_constant_predictor_exit_code(tmp_path, capsys):
+    # a constant x1 makes each group's slope column a multiple of its
+    # intercept column; the singular coefficient precision must end in the
+    # typed NonSPDPrecision (exit 3), not a traceback
+    data, _ = tlmm.simulate(seed=1)
+    flat = tlmm.TLMMData(data.y, np.full(data.n_obs, 0.5), data.group)
+    path = tmp_path / "constant_x.csv"
+    write_data_csv(path, flat)
+    rc = main(["fit-vmp", "--input", str(path), "--output", str(tmp_path / "c.json")])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # fit-mcmc
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from scipy import stats
 from scipy.special import gammaln, xlogy
 
+from oracles import NaturalMVN, mvn_from_natural, mvn_to_natural
 from igwvmp import distributions as dist
 from igwvmp import matops
 from igwvmp.distributions import CommonIGW, Graph, MoonRockParams, NaturalIGW
@@ -275,7 +276,7 @@ class TestSampling:
 
 
 # ---------------------------------------------------------------------------
-# multivariate normal natural form
+# multivariate normal natural form (the dense oracle in tests/oracles.py)
 # ---------------------------------------------------------------------------
 
 
@@ -285,25 +286,25 @@ class TestNaturalMVN:
         for k in (1, 2, 4, 7):
             Sig = random_spd(k, rng)
             mu = rng.standard_normal(k)
-            mu2, Sig2 = dist.mvn_from_natural(dist.mvn_to_natural(mu, Sig))
+            mu2, Sig2 = mvn_from_natural(mvn_to_natural(mu, Sig))
             assert_allclose(mu2, mu, rtol=1e-10, atol=1e-12)
             assert_allclose(Sig2, Sig, rtol=1e-10, atol=1e-12)
 
     def test_known_values(self):
         # N(mu, Sigma) with Sigma = diag(2, 4), mu = (2, 8):
         # eta1 = Sigma^{-1} mu = (1, 2), eta2 = -vech with doubled off-diagonal
-        n = dist.mvn_to_natural(np.array([2.0, 8.0]), np.diag([2.0, 4.0]))
+        n = mvn_to_natural(np.array([2.0, 8.0]), np.diag([2.0, 4.0]))
         assert_allclose(n.eta1, [1.0, 2.0])
         assert_allclose(n.eta2, [-0.25, 0.0, -0.125])
 
     def test_nonspd_rejected(self):
         with pytest.raises(NonSPDPrecision):
-            dist.mvn_to_natural(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+            mvn_to_natural(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
         # natural vector implying indefinite precision
-        n = dist.mvn_to_natural(np.zeros(2), np.eye(2))
-        bad = dist.NaturalMVN(n.eta1, -n.eta2)
+        n = mvn_to_natural(np.zeros(2), np.eye(2))
+        bad = NaturalMVN(n.eta1, -n.eta2)
         with pytest.raises(NonSPDPrecision):
-            dist.mvn_from_natural(bad)
+            mvn_from_natural(bad)
 
 
 # ---------------------------------------------------------------------------

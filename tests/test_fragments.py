@@ -6,9 +6,10 @@ from numpy.testing import assert_allclose
 from scipy.special import digamma
 
 from igwvmp import fragments as fr
-from igwvmp import matops
+from igwvmp import matops, tlmm
 from igwvmp.distributions import CommonIGW, Graph
 from igwvmp.errors import ImproperMessage, InvalidShape
+from oracles import arrowhead_vech_positions, blockdiag, dense_arrowhead, dense_design
 
 
 def natural_of(xi, Lam):
@@ -157,22 +158,46 @@ class TestMoonRockPrior:
         assert_allclose(fr.moonrock_prior_update(2.0, 5.0), [2.0, -5.0])
 
 
+def random_design(rng, p, q, m, n):
+    group = np.arange(n) % m
+    rng.shuffle(group)
+    return tlmm.DesignInfo(rng.standard_normal((n, p)), rng.standard_normal((n, q)), group, m)
+
+
+def random_arrowhead(rng, p, q, m):
+    """Arrowhead blocks of a random SPD k x k matrix."""
+    k = p + m * q
+    A = rng.standard_normal((k, k))
+    full = A @ A.T + k * np.eye(k)
+    groups = [slice(p + i * q, p + (i + 1) * q) for i in range(m)]
+    blocks = np.array([full[g, g] for g in groups])
+    border = np.array([full[:p, g] for g in groups])
+    return matops.Arrowhead(full[:p, :p], border, blocks)
+
+
+def scatter_to_vech(arrow, p, q, m):
+    """The full vech-form vector whose arrowhead entries are ``arrow``."""
+    k = p + m * q
+    out = np.zeros(matops.vech_len(k))
+    out[arrowhead_vech_positions(p, q, m)] = arrow
+    return out
+
+
 class TestGaussianPenalization:
     def test_message_structure(self):
         p, m, q = 2, 3, 2
         k = p + m * q
         rng = np.random.default_rng(23)
         mean = rng.standard_normal(k)
-        A = rng.standard_normal((k, k))
-        cov = A @ A.T + k * np.eye(k)
+        cov = random_arrowhead(rng, p, q, m)
         Einv = np.array([[2.0, 0.5], [0.5, 1.0]])
         res = fr.gaussian_penalization_update(mean, cov, p, m, 10.0, Einv)
 
         # precision block: sigma_beta^{-2} I_p then m copies of E(Sigma^{-1})
-        eta2 = res.to_coefficients[k:]
+        eta2 = scatter_to_vech(res.to_coefficients[k:], p, q, m)
         Dp = matops.duplication_pinv(k)
         P = -2.0 * matops.vec_inverse(Dp.T @ eta2, k)
-        expected = matops.blockdiag([np.eye(p) / 100.0] + [Einv] * m)
+        expected = blockdiag([np.eye(p) / 100.0] + [Einv] * m)
         assert_allclose(P, expected, atol=1e-13)
         assert_allclose(res.to_coefficients[:k], np.zeros(k))
 
@@ -182,59 +207,64 @@ class TestGaussianPenalization:
         S = np.zeros((q, q))
         for i in range(m):
             sl = slice(p + i * q, p + (i + 1) * q)
-            S += np.outer(mean[sl], mean[sl]) + cov[sl, sl]
+            S += np.outer(mean[sl], mean[sl]) + cov.blocks[i]
         Dq = matops.duplication(q)
         assert_allclose(res.to_variance.eta[1:], -0.5 * (Dq.T @ matops.vec(S)))
 
     def test_dimension_check(self):
+        blocks = np.broadcast_to(np.eye(2), (3, 2, 2))
+        cov = matops.Arrowhead(np.eye(2), np.zeros((3, 2, 2)), blocks)
         with pytest.raises(InvalidShape):
-            fr.gaussian_penalization_update(
-                np.zeros(3), np.eye(3), 2, 3, 1.0, np.eye(2)
-            )
+            fr.gaussian_penalization_update(np.zeros(3), cov, 2, 3, 1.0, np.eye(2))
+        with pytest.raises(InvalidShape):
+            fr.gaussian_penalization_update(np.zeros(11), cov, 2, 3, 1.0, np.eye(3))
 
 
 class TestTLikelihood:
     def setup_method(self):
         rng = np.random.default_rng(31)
-        self.n, self.k = 12, 3
-        self.C = rng.standard_normal((self.n, self.k))
+        self.n, self.p, self.q, self.m = 12, 2, 2, 3
+        self.k = self.p + self.m * self.q
+        self.design = random_design(rng, self.p, self.q, self.m, self.n)
+        self.C = dense_design(self.design)
         self.y = rng.standard_normal(self.n)
         self.mean = rng.standard_normal(self.k)
-        A = rng.standard_normal((self.k, self.k))
-        self.cov = A @ A.T + self.k * np.eye(self.k)
+        self.cov = random_arrowhead(rng, self.p, self.q, self.m)
+        # off the arrowhead the covariance never meets a row of C
+        self.cov_dense = dense_arrowhead(self.cov)
 
-    def test_residual_second_moments(self):
-        res = fr.t_likelihood_update(self.y, self.C, self.mean, self.cov, 2.0, 1.5)
-        r_direct = np.array(
+    def residual_second_moments(self):
+        return np.array(
             [
                 (self.y[i] - self.C[i] @ self.mean) ** 2
-                + self.C[i] @ self.cov @ self.C[i]
+                + self.C[i] @ self.cov_dense @ self.C[i]
                 for i in range(self.n)
             ]
         )
+
+    def test_residual_second_moments(self):
+        res = fr.t_likelihood_update(self.y, self.design, self.mean, self.cov, 2.0, 1.5)
+        r_direct = self.residual_second_moments()
         assert_allclose(res.b_rates, 2 * 1.5 + 2.0 * r_direct, rtol=1e-12)
         assert res.b_shape == 2 * 1.5 + 1.0
 
     def test_messages_match_direct_formulas(self):
         einv_noise, e_df_half = 2.0, 1.5
         res = fr.t_likelihood_update(
-            self.y, self.C, self.mean, self.cov, einv_noise, e_df_half
+            self.y, self.design, self.mean, self.cov, einv_noise, e_df_half
         )
-        r = np.array(
-            [
-                (self.y[i] - self.C[i] @ self.mean) ** 2
-                + self.C[i] @ self.cov @ self.C[i]
-                for i in range(self.n)
-            ]
-        )
+        r = self.residual_second_moments()
         w = (2 * e_df_half + 1.0) / (2 * e_df_half + einv_noise * r)
         W = np.diag(w)
         Dk = matops.duplication(self.k)
         assert_allclose(res.to_coefficients[: self.k], einv_noise * self.C.T @ W @ self.y)
+        # scattered into their vech positions, the arrowhead entries are the
+        # whole dense message: every other entry of D_k^T vec(C^T W C) is zero
         assert_allclose(
-            res.to_coefficients[self.k :],
+            scatter_to_vech(res.to_coefficients[self.k :], self.p, self.q, self.m),
             -0.5 * einv_noise * (Dk.T @ matops.vec(self.C.T @ W @ self.C)),
             rtol=1e-12,
+            atol=1e-14,
         )
         assert res.to_noise.graph is Graph.FULL
         assert_allclose(res.to_noise.eta, [-self.n / 2.0, -0.5 * np.sum(w * r)])
@@ -245,6 +275,6 @@ class TestTLikelihood:
 
     def test_gaussian_limit_weights_approach_one(self):
         # as E(upsilon) grows the scale mixture collapses and W -> I
-        res = fr.t_likelihood_update(self.y, self.C, self.mean, self.cov, 1.0, 1e8)
+        res = fr.t_likelihood_update(self.y, self.design, self.mean, self.cov, 1.0, 1e8)
         w = res.b_shape / res.b_rates
         assert np.max(np.abs(w - 1.0)) < 1e-6

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from igwvmp import matops
 from igwvmp.errors import AsymmetricInput, DimensionMismatch
+from oracles import arrowhead_vech_positions, blockdiag, dense_arrowhead, is_spd_by_eigenvalues
 
 
 def random_symmetric(d, rng):
@@ -142,15 +143,133 @@ def test_is_spd():
     assert matops.is_spd(1e-30 * np.eye(2))
 
 
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(["spd", "indefinite", "above", "below"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_is_spd_matches_eigenvalue_oracle(d, seed, kind):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3, 3)
+    B = rng.standard_normal((d, d))
+    if kind == "spd":
+        M = scale * (B @ B.T + 0.01 * np.eye(d))
+    elif kind == "indefinite":
+        Q = np.linalg.qr(B)[0]
+        lam = rng.uniform(0.1, 1.0, d)
+        lam[rng.integers(d)] *= -1.0
+        M = scale * (Q * lam) @ Q.T
+    else:
+        # smallest eigenvalue t (1 +- 1e-3), t = 1e-12 times the largest
+        # diagonal entry, held by one coordinate: a permuted block diagonal
+        # keeps it exact in the matrix and in both factorizations
+        if d == 1:
+            return
+        R = scale * (B[1:, 1:] @ B[1:, 1:].T + 0.1 * np.eye(d - 1))
+        t = 1e-12 * np.max(np.diag(R))
+        M = np.zeros((d, d))
+        M[0, 0] = t * (1.0 + 1e-3 if kind == "above" else 1.0 - 1e-3)
+        M[1:, 1:] = R
+        perm = rng.permutation(d)
+        M = M[np.ix_(perm, perm)]
+        assert is_spd_by_eigenvalues(M) == (kind == "above")
+    assert matops.is_spd(M) == is_spd_by_eigenvalues(M)
+
+
+def test_is_spd_rejects_non_finite():
+    for bad in (np.nan, np.inf, -np.inf):
+        M = np.eye(3)
+        M[2, 1] = M[1, 2] = bad
+        assert not matops.is_spd(M)
+        M = np.eye(3)
+        M[1, 1] = bad
+        assert not matops.is_spd(M)
+
+
 def test_blockdiag():
-    out = matops.blockdiag([np.array([[1.0]]), np.array([[2.0, 3.0], [4.0, 5.0]])])
+    out = blockdiag([np.array([[1.0]]), np.array([[2.0, 3.0], [4.0, 5.0]])])
     expected = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 3.0], [0.0, 4.0, 5.0]])
     assert_allclose(out, expected)
 
 
 def test_blockdiag_empty_and_rectangular():
-    assert matops.blockdiag([]).shape == (0, 0)
-    out = matops.blockdiag([np.ones((1, 2)), np.ones((2, 1))])
+    assert blockdiag([]).shape == (0, 0)
+    out = blockdiag([np.ones((1, 2)), np.ones((2, 1))])
     assert out.shape == (3, 3)
     assert_allclose(out[0, :2], [1.0, 1.0])
     assert_allclose(out[1:, 2], [1.0, 1.0])
+
+
+def _random_arrowhead(rng, p, q, m):
+    """An SPD arrowhead: random blocks, shifted to smallest eigenvalue 1."""
+    k = p + m * q
+    A = rng.standard_normal((k, k))
+    full = A @ A.T
+    groups = [slice(p + i * q, p + (i + 1) * q) for i in range(m)]
+    a = matops.Arrowhead(
+        full[:p, :p],
+        np.array([full[:p, g] for g in groups]),
+        np.array([full[g, g] for g in groups]),
+    )
+    shift = 1.0 - np.linalg.eigvalsh(dense_arrowhead(a))[0]
+    return a._replace(corner=a.corner + shift * np.eye(p), blocks=a.blocks + shift * np.eye(q))
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([1, 2]),
+    st.sampled_from([1, 2, 3]),
+    st.integers(min_value=1, max_value=6),
+)
+@settings(max_examples=40, deadline=None)
+def test_arrowhead_factor_solves_and_inverse_match_dense(seed, p, q, m):
+    rng = np.random.default_rng(seed)
+    a = _random_arrowhead(rng, p, q, m)
+    P = dense_arrowhead(a)
+    L = matops.arrowhead_cholesky(a)
+    # with the groups first and the corner last the factor has no fill
+    order = np.r_[p : p + m * q, :p]
+    dense_L = np.zeros_like(P)
+    dense_L[: m * q, : m * q] = blockdiag(list(L.blocks))
+    dense_L[m * q :, : m * q] = L.border
+    dense_L[m * q :, m * q :] = L.corner
+    assert_allclose(dense_L @ dense_L.T, P[np.ix_(order, order)], rtol=1e-12, atol=1e-12)
+    assert_allclose(L.blocks_inv, np.linalg.inv(L.blocks), rtol=1e-12, atol=1e-12)
+    assert_allclose(L.corner_inv, np.linalg.inv(L.corner), rtol=1e-12, atol=1e-12)
+
+    r = rng.standard_normal(P.shape[0])
+    v = matops.arrowhead_forward(L, r)
+    assert_allclose(v[order], np.linalg.solve(dense_L, r[order]), rtol=1e-10, atol=1e-10)
+    assert_allclose(matops.arrowhead_backward(L, v), np.linalg.solve(P, r), rtol=1e-9, atol=1e-10)
+    inverse = np.linalg.inv(P)
+    mean, cov = matops.arrowhead_moments(L, r, dense=True)
+    assert_allclose(mean, inverse @ r, rtol=1e-9, atol=1e-10)
+    assert_allclose(cov, inverse, rtol=1e-9, atol=1e-10)
+    mean_blocks, blocks = matops.arrowhead_moments(L, r)
+    assert_array_equal(mean_blocks, mean)
+    assert_allclose(dense_arrowhead(blocks), inverse * (dense_arrowhead(a) != 0), atol=1e-10)
+
+
+def test_arrowhead_cholesky_shift_and_non_finite_input():
+    a = matops.Arrowhead(np.eye(1), np.zeros((2, 1, 1)), np.full((2, 1, 1), 0.5))
+    matops.arrowhead_cholesky(a, shift=0.4)
+    with pytest.raises(np.linalg.LinAlgError):
+        matops.arrowhead_cholesky(a, shift=0.5)
+    bad = a._replace(blocks=np.array([[[0.5]], [[np.nan]]]))
+    with pytest.raises(np.linalg.LinAlgError):
+        matops.arrowhead_cholesky(bad)
+
+
+@pytest.mark.parametrize("p, q, m", [(1, 1, 1), (2, 2, 3), (2, 3, 2), (1, 2, 4)])
+def test_arrowhead_layout_is_the_vech_layout_restricted(p, q, m):
+    a = _random_arrowhead(np.random.default_rng(p + q + m), p, q, m)
+    full = dense_arrowhead(a)
+    positions = arrowhead_vech_positions(p, q, m)
+    assert positions.size == matops.arrowhead_len(p, q, m)
+    assert not np.any(np.delete(matops.vech(full), positions))
+    assert_array_equal(matops.vech_arrowhead(a), matops.vech(full)[positions])
+    assert_array_equal(matops.fold_arrowhead(a), matops.fold_vech(full)[positions])
+    back = matops.unfold_arrowhead(matops.fold_arrowhead(a), p, q, m)
+    for got, want in zip(back, a):
+        assert_array_equal(got, want)

@@ -1,12 +1,15 @@
 """Tests for the Gibbs sampler and its chain summaries."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from scipy.stats import kstest
+from scipy.stats import chi2, kstest
 
 from igwvmp import matops, mcmc, tlmm
 from igwvmp.distributions import MoonRockParams, moonrock_mean, moonrock_sample
-from igwvmp.errors import DimensionMismatch, DomainError, InvalidHyperparameter
+from igwvmp.errors import DimensionMismatch, DomainError, InvalidHyperparameter, NumericalFailure
+from oracles import dense_design
 
 
 @pytest.fixture(scope="module")
@@ -50,24 +53,25 @@ def test_coefficient_conditional_matches_ridge_solution():
     Sigma = np.array([[1.4, 0.3], [0.3, 0.9]])
     fixed_scale = 10.0
     b = np.ones(data.n_obs)
+    C = dense_design(des)
 
-    M = des.C.T @ des.C / sigma2
+    M = C.T @ C / sigma2
     M[:p, :p] += np.eye(p) / fixed_scale**2
     Sig_inv = np.linalg.inv(Sigma)
     for i in range(m):
         s = p + i * q
         M[s : s + q, s : s + q] += Sig_inv
-    ridge = np.linalg.solve(M, des.C.T @ data.y / sigma2)
+    ridge = np.linalg.solve(M, C.T @ data.y / sigma2)
 
     n = 4000
     draws = np.array(
-        [
-            mcmc.draw_coefficients(rng, data.y, des.C, b, sigma2, Sigma, fixed_scale, p, m)
-            for _ in range(n)
-        ]
+        [mcmc.draw_coefficients(rng, data.y, des, b, sigma2, Sigma, fixed_scale) for _ in range(n)]
     )
     se = draws.std(axis=0, ddof=1) / np.sqrt(n)
-    assert np.all(np.abs(draws.mean(axis=0) - ridge) < 3 * se)
+    # the mean error n (xbar - ridge)' M (xbar - ridge) is chi^2 with k
+    # degrees of freedom; one check at a 0.1% false-alarm rate
+    gap = draws.mean(axis=0) - ridge
+    assert n * gap @ M @ gap < chi2.ppf(0.999, M.shape[0])
     # draw covariance matches the conditional covariance M^{-1}
     emp_cov = np.cov(draws.T)
     assert np.allclose(emp_cov, np.linalg.inv(M), atol=6 * np.max(se) * np.sqrt(n) * np.max(se))
@@ -88,17 +92,43 @@ def test_coefficient_draw_without_noise_is_the_conditional_mean():
     b = rng.uniform(0.3, 3.0, data.n_obs)
     sigma2, fixed_scale = 0.6, 4.0
     Sigma = np.array([[1.1, -0.4], [-0.4, 0.7]])
-    M = des.C.T @ np.diag(1.0 / b) @ des.C / sigma2
+    C = dense_design(des)
+    M = C.T @ np.diag(1.0 / b) @ C / sigma2
     M[:p, :p] += np.eye(p) / fixed_scale**2
     for i in range(m):
         s = p + i * q
         M[s : s + q, s : s + q] += np.linalg.inv(Sigma)
-    rhs = des.C.T @ (data.y / b) / sigma2
-    got = mcmc.draw_coefficients(_ZeroNormal(), data.y, des.C, b, sigma2, Sigma, fixed_scale, p, m)
+    rhs = C.T @ (data.y / b) / sigma2
+    got = mcmc.draw_coefficients(_ZeroNormal(), data.y, des, b, sigma2, Sigma, fixed_scale)
     # two factorizations of M agree to rounding times its condition number
     expected = np.linalg.solve(M, rhs)
     bound = 100 * np.finfo(float).eps * np.linalg.cond(M) * np.linalg.norm(expected)
     assert np.linalg.norm(got - expected) <= bound
+
+
+def test_coefficient_draw_rejects_a_non_spd_precision():
+    # a random-effects covariance with a negative eigenvalue makes every
+    # group block of M indefinite
+    data, _ = tlmm.simulate(seed=3, n_groups=4, group_size=7)
+    des = tlmm.assemble_design(data)
+    Sigma = np.array([[1.0, 0.0], [0.0, -1e-6]])
+    with pytest.raises(NumericalFailure):
+        mcmc.draw_coefficients(
+            _ZeroNormal(), data.y, des, np.ones(data.n_obs), 0.5, Sigma, 10.0
+        )
+
+
+def test_gibbs_iterations_need_no_k_by_k_array():
+    # m = 5000 groups of 15: k = 10002, so one k x k array is 800 MB
+    data, _ = tlmm.simulate(seed=1, n_groups=5000, group_size=15)
+    tracemalloc.start()
+    try:
+        chain = mcmc.gibbs_fit(data, cfg=mcmc.GibbsConfig(warmup=1, kept=2, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chain.coefficients.shape == (2, 10002)
+    assert peak < 64e6
 
 
 def test_prior_only_correlation_is_uniform():

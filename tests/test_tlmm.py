@@ -1,12 +1,15 @@
 """Tests for the t-response linear mixed model fit."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.testing import assert_allclose
 
+from igwvmp import distributions
 from igwvmp import fragments as fr
 from igwvmp import matops, tlmm
 from igwvmp.distributions import Graph, MoonRockParams, igw_to_natural, moonrock_mean
@@ -15,9 +18,17 @@ from igwvmp.errors import (
     DomainError,
     ImproperMessage,
     InvalidHyperparameter,
+    NonSPDPrecision,
     NotConverged,
 )
 from igwvmp.prior_specs import HalfCauchySpec, HuangWandSpec, plan_prior
+from oracles import (
+    NaturalMVN,
+    arrowhead_vech_positions,
+    dense_arrowhead,
+    dense_design,
+    mvn_from_natural,
+)
 
 SMALL = dict(seed=11, n_groups=6, group_size=8)
 
@@ -66,7 +77,7 @@ def test_simulate_zero_noise_is_exactly_linear():
     data, truth = tlmm.simulate(seed=9, noise_variance=0.0, n_groups=4, group_size=5)
     des = tlmm.assemble_design(data)
     coeffs = np.concatenate((truth.beta, truth.u.ravel()))
-    assert np.allclose(data.y, des.C @ coeffs, rtol=0, atol=1e-12)
+    assert np.allclose(data.y, dense_design(des) @ coeffs, rtol=0, atol=1e-12)
 
 
 def test_simulate_u_variance_tracks_covariance_diagonal():
@@ -99,15 +110,17 @@ def test_assemble_design_block_structure():
             [1.0, 1.0, 0.0, 0.0, 1.0, 1.0],
         ]
     )
-    assert np.array_equal(des.C, expected)
+    assert np.array_equal(dense_design(des), expected)
 
     des_i = tlmm.assemble_design(data, "intercept")
     assert (des_i.n_fixed, des_i.n_random) == (2, 1)
-    assert np.array_equal(des_i.C[:, 2:], np.array([[0, 1], [1, 0], [0, 1]], dtype=float))
+    assert np.array_equal(
+        dense_design(des_i)[:, 2:], np.array([[0, 1], [1, 0], [0, 1]], dtype=float)
+    )
 
     des_m = tlmm.assemble_design(data, "micro")
     assert (des_m.n_fixed, des_m.n_random) == (1, 1)
-    assert des_m.C.shape == (3, 3)
+    assert dense_design(des_m).shape == (3, 3)
 
     with pytest.raises(InvalidHyperparameter):
         tlmm.assemble_design(data, "cubic")
@@ -133,7 +146,118 @@ def test_design_rows_encode_group_membership(seed, design):
         + np.sum(z * truth.u[data.group], axis=1)
     )
     assert np.allclose(data.y, manual, rtol=0, atol=1e-12)
-    assert np.allclose(des.C @ np.concatenate((truth.beta, truth.u.ravel())), data.y)
+    assert np.allclose(dense_design(des) @ np.concatenate((truth.beta, truth.u.ravel())), data.y)
+
+
+def _random_design(rng, p, q, m, n_per_group=3):
+    group = np.repeat(np.arange(m), n_per_group)
+    rng.shuffle(group)
+    return tlmm.DesignInfo(
+        rng.standard_normal((group.size, p)), rng.standard_normal((group.size, q)), group, m
+    )
+
+
+def _random_spd_arrowhead(rng, p, q, m, floor=1.0):
+    # the precision of a random design plus floor times the identity
+    des = _random_design(rng, p, q, m)
+    _, gram = des.weighted_cross(rng.uniform(0.5, 2.0, des.group.size), np.zeros(des.group.size))
+    a = matops.unfold_arrowhead(gram, p, q, m)
+    return a._replace(corner=a.corner + floor * np.eye(p), blocks=a.blocks + floor * np.eye(q))
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 2]),
+    st.sampled_from([1, 2, 3]),
+    st.integers(1, 6),
+)
+@settings(max_examples=40, deadline=None)
+def test_index_design_products_match_dense_design(seed, p, q, m):
+    rng = np.random.default_rng(seed)
+    des = _random_design(rng, p, q, m)
+    C = dense_design(des)
+    theta = rng.standard_normal(des.n_coefficients)
+    assert_allclose(des.predict(theta), C @ theta, rtol=1e-12, atol=1e-12)
+
+    cov = _random_spd_arrowhead(rng, p, q, m)
+    want = np.einsum("lj,jk,lk->l", C, dense_arrowhead(cov), C)
+    assert_allclose(des.row_variance(cov), want, rtol=1e-12, atol=1e-12)
+
+    w, y = rng.uniform(0.1, 3.0, C.shape[0]), rng.standard_normal(C.shape[0])
+    cross_y, gram = des.weighted_cross(w, y)
+    assert_allclose(cross_y, C.T @ (w * y), rtol=1e-12, atol=1e-12)
+    full = matops.fold_vech(C.T @ (w[:, None] * C))
+    positions = arrowhead_vech_positions(p, q, m)
+    assert_allclose(gram, full[positions], rtol=1e-12, atol=1e-12)
+    # every entry off the arrowhead is zero: each row touches one group
+    assert not np.any(np.delete(full, positions))
+
+
+def _natural_pair(rng, p, q, m, shift):
+    """(arrowhead natural vector, dense vech natural vector, precision) of
+    one Gaussian whose precision has its smallest eigenvalue at about
+    ``shift`` times its largest diagonal entry."""
+    a = _random_spd_arrowhead(rng, p, q, m, floor=0.0)
+    P = dense_arrowhead(a)
+    delta = shift * np.max(np.diag(P)) - np.linalg.eigvalsh(P)[0]
+    a = a._replace(corner=a.corner + delta * np.eye(p), blocks=a.blocks + delta * np.eye(q))
+    P = dense_arrowhead(a)
+    h = rng.standard_normal(P.shape[0])
+    arrow = np.concatenate((h, -0.5 * matops.fold_arrowhead(a)))
+    dense = np.concatenate((h, -0.5 * matops.fold_vech(P)))
+    return arrow, dense, P
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 2]),
+    st.sampled_from([1, 2, 3]),
+    st.integers(1, 6),
+    st.sampled_from([-1e-3, -1e-8, 0.0, 1e-8, 1e-3, 1.0]),
+)
+@settings(max_examples=80, deadline=None)
+def test_extract_gaussian_matches_dense_natural_map(seed, p, q, m, shift):
+    rng = np.random.default_rng(seed)
+    arrow, dense, P = _natural_pair(rng, p, q, m, shift)
+    k = P.shape[0]
+    try:
+        want_mu, want_cov = mvn_from_natural(NaturalMVN.from_vector(dense, k))
+    except NonSPDPrecision:
+        with pytest.raises(NonSPDPrecision):
+            tlmm.extract_gaussian(arrow, p, q, m)
+        return
+    mu, cov = tlmm.extract_gaussian(arrow, p, q, m)
+    mu_dense, cov_dense = tlmm.extract_gaussian(arrow, p, q, m, dense=True)
+    assert np.array_equal(mu, mu_dense)
+    # two factorizations agree to rounding times the condition number
+    bound = 1e3 * np.finfo(float).eps * np.linalg.cond(P)
+    assert np.linalg.norm(mu - want_mu) <= bound * np.linalg.norm(want_mu)
+    scale = np.max(np.abs(want_cov))
+    assert np.max(np.abs(cov_dense - want_cov)) <= bound * scale
+    blocks = dense_arrowhead(cov)
+    mask = dense_arrowhead(matops.Arrowhead(*(np.ones_like(b) for b in cov))) != 0
+    assert np.max(np.abs(blocks - want_cov)[mask]) <= bound * scale
+
+
+@pytest.mark.parametrize("factor, spd", [(1.0 + 1e-3, True), (1.0 - 1e-3, False)])
+def test_extract_gaussian_applies_the_spd_threshold(factor, spd):
+    # u[2,1] is coupled to nothing, so its diagonal entry is an eigenvalue of
+    # P, placed just above or below 1e-12 times the largest diagonal entry
+    p, q, m = 2, 2, 3
+    a = _random_spd_arrowhead(np.random.default_rng(4), p, q, m)
+    a.border[1, :, 1] = 0.0
+    a.blocks[1, 0, 1] = a.blocks[1, 1, 0] = 0.0
+    a.blocks[1, 1, 1] = 0.0
+    top = max(np.max(np.diag(a.corner)), np.max(np.diagonal(a.blocks, axis1=1, axis2=2)))
+    a.blocks[1, 1, 1] = factor * 1e-12 * top
+    eta = np.concatenate((np.ones(p + m * q), -0.5 * matops.fold_arrowhead(a)))
+    assert matops.is_spd(dense_arrowhead(a)) is spd
+    if spd:
+        mu, _ = tlmm.extract_gaussian(eta, p, q, m)
+        assert np.all(np.isfinite(mu))
+    else:
+        with pytest.raises(NonSPDPrecision):
+            tlmm.extract_gaussian(eta, p, q, m)
 
 
 def test_coefficient_names():
@@ -206,7 +330,11 @@ def test_initial_message_table():
         assert np.array_equal(msgs[(fac, node)].eta, [-2.0, -1.0])
         assert msgs[(fac, node)].graph is graph
 
-    gauss = np.concatenate((np.zeros(k), -0.5 * matops.duplication(k).T @ matops.vec(np.eye(k))))
+    # the arrowhead entries of -D_k^T vec(I_k)/2; all other entries are zero
+    full = -0.5 * matops.duplication(k).T @ matops.vec(np.eye(k))
+    positions = arrowhead_vech_positions(p, q, m)
+    assert not np.any(np.delete(full, positions))
+    gauss = np.concatenate((np.zeros(k), full[positions]))
     assert np.array_equal(msgs[("coefficient_prior", "coefficients")].eta, gauss)
     assert np.array_equal(msgs[("likelihood", "coefficients")].eta, gauss)
 
@@ -221,15 +349,14 @@ def test_initial_message_table():
 
 
 def test_initial_messages_all_proper():
-    tlmm._assert_initial_proper(tlmm.initial_messages(tlmm.TLMMHyper(), 2, 2, 3), 2, 8)
+    tlmm._assert_initial_proper(tlmm.initial_messages(tlmm.TLMMHyper(), 2, 2, 3), 2, 2, 3)
 
 
 def test_first_sweep_keeps_every_posterior_extractable(small_data):
     data, _ = small_data
     graph = tlmm.build_graph(data, tlmm.TLMMHyper.diffuse(2))
     graph.sweep()
-    k = 2 + 6 * 2
-    mu, Sig = tlmm.extract_gaussian(graph.q_star("coefficients").eta, k)
+    mu, Sig = tlmm.extract_gaussian(graph.q_star("coefficients").eta, 2, 2, 6, dense=True)
     assert np.all(np.isfinite(mu)) and matops.is_spd(Sig)
     assert tlmm.extract_igw_full(graph.q_star("cov").eta).xi > 2
     delta, lam = tlmm.extract_inv_chisq(graph.q_star("noise").eta)
@@ -241,6 +368,38 @@ def test_first_sweep_keeps_every_posterior_extractable(small_data):
 # ---------------------------------------------------------------------------
 # fitting
 # ---------------------------------------------------------------------------
+
+
+def test_one_moon_rock_grid_per_sweep(monkeypatch):
+    # likelihood and scale_mix read the same q(df_half) within a sweep and
+    # share one MoonRockParams, so its normalizer grid is built once
+    builds = []
+    grid_init = distributions._MoonRockGrid.__init__
+
+    def counted(self, alpha, beta):
+        builds.append((alpha, beta))
+        grid_init(self, alpha, beta)
+
+    monkeypatch.setattr(distributions._MoonRockGrid, "__init__", counted)
+    data, _ = tlmm.simulate(seed=1)
+    fit = tlmm.fit(data)
+    sweeps = fit.summary.report.iterations
+    # plus one for the summary's q(nu) density of the final q(df_half)
+    assert len(builds) == sweeps + 1
+
+
+def test_sweeps_need_no_k_by_k_array():
+    # m = 5000 groups of 15: k = 10002, so one k x k array is 800 MB
+    data, _ = tlmm.simulate(seed=1, n_groups=5000, group_size=15)
+    tracemalloc.start()
+    try:
+        graph = tlmm.build_graph(data, tlmm.TLMMHyper.diffuse(2))
+        for _ in range(3):
+            graph.sweep()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
 
 
 def test_fit_converges_on_default_example(example_fit):
