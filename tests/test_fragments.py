@@ -264,7 +264,6 @@ class TestTLikelihood:
             scatter_to_vech(res.to_coefficients[self.k :], self.p, self.q, self.m),
             -0.5 * einv_noise * (Dk.T @ matops.vec(self.C.T @ W @ self.C)),
             rtol=1e-12,
-            atol=1e-14,
         )
         assert res.to_noise.graph is Graph.FULL
         assert_allclose(res.to_noise.eta, [-self.n / 2.0, -0.5 * np.sum(w * r)])
