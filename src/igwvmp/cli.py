@@ -107,12 +107,17 @@ def _jsonify(obj):
 
 
 def _write_json(path, payload):
+    """Strict JSON: a NaN or infinity in the payload is a numerical failure
+    (code 3), and the partly written file is removed."""
     try:
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, default=_jsonify)
+            json.dump(payload, fh, indent=2, default=_jsonify, allow_nan=False)
             fh.write("\n")
     except OSError as exc:
         raise CommandError(f"cannot write {path}: {exc}")
+    except ValueError as exc:
+        Path(path).unlink(missing_ok=True)
+        raise CommandError(f"cannot write {path}: {exc}", code=3)
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +146,17 @@ def _hyper_for(args):
         )
     try:
         return tlmm.TLMMHyper(args.sigma_beta, args.s_sigma, scales, args.lambda_nu)
+    except InvalidHyperparameter as exc:
+        raise CommandError(str(exc))
+
+
+def _gibbs_config(args) -> mcmc.GibbsConfig:
+    """Chain settings, checked before any fit runs: the summaries need at
+    least ``mcmc.MIN_SUMMARY_DRAWS`` retained draws."""
+    if args.kept < mcmc.MIN_SUMMARY_DRAWS:
+        raise CommandError(f"--kept must be at least {mcmc.MIN_SUMMARY_DRAWS}, got {args.kept}")
+    try:
+        return mcmc.GibbsConfig(args.warmup, args.kept, args.seed)
     except InvalidHyperparameter as exc:
         raise CommandError(str(exc))
 
@@ -274,12 +290,9 @@ def _mcmc_payload(chain, summary, args):
 
 
 def cmd_fit_mcmc(args):
+    cfg = _gibbs_config(args)
     data = read_data_csv(args.input)
     hyper = _hyper_for(args)
-    try:
-        cfg = mcmc.GibbsConfig(args.warmup, args.kept, args.seed)
-    except InvalidHyperparameter as exc:
-        raise CommandError(str(exc))
     chain = mcmc.gibbs_fit(data, hyper, cfg, args.design)
     summary = mcmc.summarize(chain)
     _write_json(args.output, _mcmc_payload(chain, summary, args))
@@ -371,12 +384,11 @@ def _safe_name(name):
 
 
 def cmd_compare(args):
+    cfg = _gibbs_config(args)
     data = read_data_csv(args.input)
     hyper = _hyper_for(args)
     fit = tlmm.fit(data, hyper, args.design, tol=args.tol, max_iters=args.max_iters)
-    chain = mcmc.gibbs_fit(
-        data, hyper, mcmc.GibbsConfig(args.warmup, args.kept, args.seed), args.design
-    )
+    chain = mcmc.gibbs_fit(data, hyper, cfg, args.design)
     chain_summary = mcmc.summarize(chain)
     series = mcmc.chain_series(chain)
 

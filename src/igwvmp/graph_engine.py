@@ -13,7 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .distributions import Graph
-from .errors import DimensionMismatch, GraphTagMismatch, MissingMessage
+from .errors import DimensionMismatch, GraphTagMismatch, InvalidHyperparameter, MissingMessage
 
 __all__ = ["Node", "Factor", "Message", "ConvergenceReport", "FactorGraph"]
 
@@ -142,8 +142,13 @@ class FactorGraph:
     def run(self, tol: float = 1e-8, max_iters: int = 500, schedule=None) -> ConvergenceReport:
         """Sweep the factors until the largest relative message change falls
         below ``tol``. Returns a report; it is the caller's decision whether
-        a non-converged run is an error.
+        a non-converged run is an error. Needs max_iters >= 1 and a finite
+        tol > 0.
         """
+        if not (max_iters >= 1 and np.isfinite(tol) and tol > 0):
+            raise InvalidHyperparameter(
+                f"need max_iters >= 1 and a finite tol > 0, got max_iters={max_iters}, tol={tol}"
+            )
         if schedule is None:
             schedule = self.schedule
         if sorted(schedule) != sorted(self.schedule):

@@ -11,9 +11,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.stats import gaussian_kde, norm
-
 from scipy.optimize import brentq
+from scipy.special import ndtri
 
 from . import matops
 from .distributions import (
@@ -58,6 +57,9 @@ __all__ = [
 
 # the covariance prior level fixed by the model (uniform correlations)
 HW_SHAPE = 2.0
+
+# fewest retained draws ``summarize`` accepts
+MIN_SUMMARY_DRAWS = 100
 
 
 @dataclass(frozen=True)
@@ -333,22 +335,41 @@ def chain_series(chain: ChainOutput) -> dict:
     return series
 
 
+# bytes of float64 kernel values evaluated at once: the kernel sum runs over
+# blocks of grid points so that no temporary grows with grid size x draws
+_KDE_BLOCK_BYTES = 1 << 20
+
+
 def kde_density(draws, grid=None):
     """(grid, density) of the draws' Gaussian kernel estimate with Silverman's
-    bandwidth h; the default grid has 401 points from three h below the
-    smallest draw to three h above the largest. A constant chain c has no h:
-    it is drawn as a spike of width w = max(|c|, 1) 1e-8, on c +- 6w by default."""
+    bandwidth h = sd (3n/4)^(-1/5); the default grid has 401 points from three
+    h below the smallest draw to three h above the largest. A constant chain c
+    has no h: it is drawn as a spike of width w = max(|c|, 1) 1e-8, on c +- 6w
+    by default."""
     if float(np.std(draws)) == 0.0:
         center = float(draws[0])
         width = max(abs(center), 1.0) * 1e-8
         if grid is None:
             grid = np.linspace(center - 6 * width, center + 6 * width, 401)
         return grid, np.exp(-0.5 * ((grid - center) / width) ** 2) / (width * np.sqrt(2 * np.pi))
-    kde = gaussian_kde(draws, bw_method="silverman")
+    draws = np.asarray(draws, dtype=float)
+    n = draws.size
+    h = float(np.std(draws, ddof=1)) * (0.75 * n) ** -0.2
     if grid is None:
-        h = float(np.sqrt(kde.covariance[0, 0]))
         grid = np.linspace(float(np.min(draws)) - 3 * h, float(np.max(draws)) + 3 * h, 401)
-    return grid, kde(grid)
+    # differences before scaling: dividing first, as scipy's gaussian_kde
+    # does, loses digits of (x - d)/h when the draws sit far from zero
+    points = np.asarray(grid, dtype=float)
+    density = np.empty(points.size)
+    block = max(1, _KDE_BLOCK_BYTES // (8 * n))
+    for start in range(0, points.size, block):
+        z = points[start : start + block, None] - draws
+        z *= z
+        z *= -0.5 / (h * h)
+        np.exp(z, out=z)
+        z.sum(axis=1, out=density[start : start + block])
+    density /= n * h * np.sqrt(2 * np.pi)
+    return grid, density
 
 
 def _split_half_z(draws, n_batches=10):
@@ -476,8 +497,10 @@ def summarize(chain: ChainOutput) -> ChainSummary:
     """Mean, standard deviation and split-half z of every series that
     ``chain_series`` derives."""
     kept = chain.sigma2.size
-    if kept < 100:
-        raise DomainError(f"summaries need at least 100 retained draws, got {kept}")
+    if kept < MIN_SUMMARY_DRAWS:
+        raise DomainError(
+            f"summaries need at least {MIN_SUMMARY_DRAWS} retained draws, got {kept}"
+        )
     parameters = {}
     worst = 0.0
     for name, draws in chain_series(chain).items():
@@ -487,5 +510,5 @@ def summarize(chain: ChainOutput) -> ChainSummary:
             float(np.mean(draws)), float(np.std(draws, ddof=1)), z
         )
     # family-wise version of the two-standard-error rule
-    threshold = float(norm.ppf(1.0 - 0.025 / len(parameters)))
+    threshold = float(ndtri(1.0 - 0.025 / len(parameters)))
     return ChainSummary(parameters, bool(worst < threshold), threshold)

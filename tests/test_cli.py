@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -130,6 +131,36 @@ def test_scale_list_validation(small_csv, tmp_path, capsys):
     assert main(args + ["--s-Sigma", "1;2"]) == 2
     assert main(args + ["--design", "intercept", "--s-Sigma", "1,2"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("fit-vmp", ["--max-iters", "0"]),
+        ("fit-vmp", ["--tol", "-1"]),
+        ("fit-vmp", ["--tol", "nan"]),
+        ("compare", ["--tol", "0"]),
+        ("fit-mcmc", ["--kept", "10"]),
+        ("compare", ["--kept", "10"]),
+    ],
+)
+def test_bad_run_length_rejected_before_work(command, extra, small_csv, tmp_path, capsys, monkeypatch):
+    def no_chain(*args, **kwargs):
+        raise AssertionError("the Gibbs chain ran")
+
+    monkeypatch.setattr(mcmc, "gibbs_fit", no_chain)
+    out = tmp_path / "o.json"
+    assert main([command, "--input", str(small_csv), "--output", str(out), *extra]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_non_finite_payload_is_a_numerical_failure(tmp_path):
+    out = tmp_path / "o.json"
+    with pytest.raises(CommandError, match="cannot write") as info:
+        cli._write_json(out, {"final_change": float("inf"), "values": np.array([1.0, np.nan])})
+    assert info.value.code == 3
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +445,24 @@ def test_installed_console_script(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert path.exists()
+
+
+def test_package_import_leaves_out_scipy_stats():
+    # scipy.stats alone costs about a second and 20 MB at start-up
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, igwvmp.cli, igwvmp.mcmc, igwvmp.tlmm; "
+            "print(sorted(m for m in sys.modules if m == 'scipy.stats' or m.startswith('scipy.stats.')))",
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_invocation_help():

@@ -6,7 +6,12 @@ from numpy.testing import assert_allclose
 
 from igwvmp import fragments as fr
 from igwvmp.distributions import CommonIGW, Graph
-from igwvmp.errors import DimensionMismatch, GraphTagMismatch, MissingMessage
+from igwvmp.errors import (
+    DimensionMismatch,
+    GraphTagMismatch,
+    InvalidHyperparameter,
+    MissingMessage,
+)
 from igwvmp.graph_engine import ConvergenceReport, Factor, FactorGraph, Message, Node
 
 
@@ -142,6 +147,16 @@ class TestRun:
             graph.run(schedule=["prior", "prior"])
         with pytest.raises(DimensionMismatch):
             graph.run(schedule=["prior"])
+
+    @pytest.mark.parametrize(
+        "tol, max_iters", [(1e-10, 0), (1e-10, -3), (0.0, 5), (-1.0, 5), (np.nan, 5), (np.inf, 5)]
+    )
+    def test_run_length_is_validated_before_any_sweep(self, tol, max_iters):
+        graph, _ = conjugate_toy()
+        with pytest.raises(InvalidHyperparameter):
+            graph.run(tol=tol, max_iters=max_iters)
+        with pytest.raises(MissingMessage):
+            graph.q_star("noise")
 
     def test_schedule_order_reaches_same_fixed_point(self):
         g1, _ = conjugate_toy()

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.stats import kstest
+from scipy.stats import gaussian_kde, kstest, norm
 
 from igwvmp import matops, mcmc, tlmm
 from igwvmp.distributions import MoonRockParams, moonrock_mean, moonrock_sample
@@ -310,6 +310,51 @@ def test_kde_density_of_standard_normal_draws():
     # a caller's grid gets the same kernel estimate
     _, again = mcmc.kde_density(draws, grid)
     assert np.array_equal(again, density)
+
+
+def _kde_oracle_draws():
+    rng = np.random.default_rng(13)
+    return {
+        "standard normal": rng.standard_normal(5000),
+        "skewed gamma": rng.gamma(1.5, 2.0, 3000),
+        "tight cluster": 5.0 + 1e-3 * rng.standard_normal(2000),
+    }
+
+
+@pytest.mark.parametrize("kind", ["standard normal", "skewed gamma", "tight cluster"])
+def test_kde_density_matches_scipy_gaussian_kde(kind):
+    draws = _kde_oracle_draws()[kind]
+    oracle = gaussian_kde(draws, bw_method="silverman")
+    h = float(np.sqrt(oracle.covariance[0, 0]))
+    expected_grid = np.linspace(draws.min() - 3 * h, draws.max() + 3 * h, 401)
+
+    grid, density = mcmc.kde_density(draws)
+    assert np.max(np.abs(grid - expected_grid) / np.abs(expected_grid)) <= 1e-12
+    expected = oracle(grid)
+    peak = expected.max()
+    assert np.max(np.abs(density - expected)) <= 1e-12 * peak
+
+    # caller's grids shorter than one block and not a whole number of blocks
+    block = mcmc._KDE_BLOCK_BYTES // (8 * draws.size)
+    for size in (block - 1, 3 * block + 1):
+        points = np.linspace(grid[0], grid[-1], size)
+        returned, values = mcmc.kde_density(draws, points)
+        assert returned is points
+        assert np.max(np.abs(values - oracle(points))) <= 1e-12 * peak
+
+
+@pytest.mark.parametrize("n_coefficients", [1, 3, 12])
+def test_summarize_threshold_equals_normal_quantile(n_coefficients):
+    rng = np.random.default_rng(4)
+    chain = _synthetic_chain(
+        rng.standard_normal((200, n_coefficients)),
+        np.abs(rng.standard_normal(200)) + 0.1,
+        np.ones((200, 1, 1)) + np.abs(rng.standard_normal((200, 1, 1))),
+        np.abs(rng.standard_normal(200)) + 1.0,
+    )
+    s = mcmc.summarize(chain)
+    n = len(s.parameters)
+    assert s.z_threshold == float(norm.ppf(1.0 - 0.025 / n))
 
 
 def test_summarize_derived_parameters(small_chain):
