@@ -369,14 +369,14 @@ def _compare_entries(fit, seed):
     return entries
 
 
-def _aligned_grid(name, mu, sd, draws, n_points=401):
+def _aligned_grid(name, mu, sd, draws):
     lo = min(mu - 6.0 * sd, float(np.min(draws)) - 0.5 * float(np.std(draws)))
     hi = max(mu + 6.0 * sd, float(np.max(draws)) + 0.5 * float(np.std(draws)))
     if name in _POSITIVE_PARAMS:
         lo = max(lo, 1e-6)
     if name == "rho":
         lo, hi = max(lo, -1.0), min(hi, 1.0)
-    return np.linspace(lo, hi, n_points)
+    return np.linspace(lo, hi, 401)
 
 
 def _safe_name(name):

@@ -2,8 +2,8 @@
 
 Covers the Inverse G-Wishart family (full and diagonal graphs) in both its
 common (shape, scale) and natural parameterizations, the Inverse Chi-Squared
-building block, and the Moon Rock family with its quadrature-based
-normalizer.
+building block, and the Moon Rock family, whose sampler, quantiles,
+normalizer and moments all come from one trapezoid grid in s = log t.
 
 Density evaluations return log values throughout; probability-scale numbers
 are only ever formed at the final reporting stage.
@@ -47,7 +47,6 @@ __all__ = [
     "inv_chisq_sqrt_sd",
     "MoonRockParams",
     "moonrock_log_normalizer",
-    "moonrock_normalizer",
     "moonrock_mean",
     "moonrock_log_density",
     "moonrock_sample",
@@ -355,14 +354,11 @@ def inv_chisq_sqrt_sd(delta: float, lam: float) -> float:
 # Moon Rock
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-_TAIL_REL = 1e-12
-_MAX_PANELS = 600
 _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
-_CDF_GRID_SIZE = 2048  # nodes of the sampler's and quantile's inverse-CDF grid
-_CDF_LOG_DROP = 32.0  # the CDF grid ends where the integrand is e^-32 ~ 1e-14 of its peak
-_CDF_PROBE_STEPS = np.arange(-64.0, 65.0)
-_CDF_PROBE_STEPS.flags.writeable = False
+_GRID_SIZE = 2048  # nodes of the trapezoid grid in s = log t
+_GRID_LOG_DROP = 32.0  # the grid ends where the integrand is e^-32 ~ 1e-14 of its peak
+_GRID_PROBE_STEPS = np.arange(-64.0, 65.0)
+_GRID_PROBE_STEPS.flags.writeable = False
 
 
 def _xlogx_minus_lgamma(t: np.ndarray) -> np.ndarray:
@@ -399,9 +395,9 @@ def _moonrock_log_integrand(s: np.ndarray, alpha: float, beta: float) -> np.ndar
 
 
 def _moonrock_center(alpha: float, beta: float) -> float:
-    """Location (in s = log t) of the density's mode in t, where the
-    normalizer's panel expansion and the CDF range search start; for
-    alpha = 0 the peak of the log integrand -beta t + s."""
+    """Location (in s = log t) of the density's mode in t, where the search
+    for the grid's range starts; for alpha = 0 the peak of the log integrand
+    -beta t + s."""
     if alpha == 0.0:
         return float(np.log(1.0 / beta))
 
@@ -433,73 +429,63 @@ def _moonrock_curvature(alpha: float, beta: float, s: float) -> float:
     return float(curv)
 
 
-def _panel_width(alpha: float, beta: float, center: float) -> float:
-    """Panel width matched to the curvature of the log integrand at its peak,
-    so 32 nodes always resolve the central bump."""
+def _moonrock_grid_range(alpha: float, beta: float):
+    """(lo, hi) in s = log t that the grid spans.
+
+    Probes the log integrand at the mode plus and minus 1..64 steps, in one
+    call, with the step 1/sqrt(curvature at the mode) capped at 1. Each end
+    is the first probe beyond the highest one whose log integrand lies
+    _GRID_LOG_DROP below it, which leaves a negligible tail. A side that
+    never falls that far raises DivergentIntegral.
+    """
+    center = _moonrock_center(alpha, beta)
     curv = _moonrock_curvature(alpha, beta, center)
-    if not np.isfinite(curv) or curv < 1e-6:
-        return 1.0
-    return float(min(1.0, 8.0 / np.sqrt(curv)))
+    step = 1.0 / math.sqrt(curv) if curv > 1.0 else 1.0
+    s = center + step * _GRID_PROBE_STEPS
+    g = _moonrock_log_integrand(s, alpha, beta)
+    top = int(np.argmax(g))
+    below = g < g[top] - _GRID_LOG_DROP
+    left = np.flatnonzero(below[:top])
+    right = np.flatnonzero(below[top:])
+    if left.size == 0 or right.size == 0:
+        raise DivergentIntegral(
+            f"Moon Rock({alpha}, {beta}) integrand does not decay within "
+            f"{_GRID_PROBE_STEPS[-1]:.0f} steps of its mode"
+        )
+    return float(s[left[-1]]), float(s[top + right[0]])
 
 
 class _MoonRockGrid:
-    """Composite Gauss-Legendre grid for one (alpha, beta) pair.
+    """Trapezoid rule for one (alpha, beta) pair on a uniform grid in s = log t
+    over ``_moonrock_grid_range``.
 
-    Panels are added on both sides of the mode in s = log t until the newly
-    added mass falls below 1e-12 of the running total.
+    The integrand is smooth and negligible at both ends, where the rule
+    converges exponentially, so one grid serves every Moon Rock quantity:
+    ``cdf`` (the accumulated rule, normalized) for sampling and quantiles,
+    and ``moments`` (log normalizer, mean, variance), computed from the
+    same nodes on first use.
     """
 
-    __slots__ = ("s", "w", "logf", "log_norm", "mean", "second_moment")
-
     def __init__(self, alpha: float, beta: float):
-        center = _moonrock_center(alpha, beta)
-        width = _panel_width(alpha, beta, center)
-        half = 0.5 * width
+        self.s = np.linspace(*_moonrock_grid_range(alpha, beta), _GRID_SIZE)
+        logf = _moonrock_log_integrand(self.s, alpha, beta)
+        self._ref = np.max(logf)
+        self._f = np.exp(logf - self._ref)
+        # the spacing is uniform, so the trapezoid weight cancels in the normalization
+        cdf = np.concatenate(([0.0], np.cumsum(self._f[1:] + self._f[:-1])))
+        self.cdf = cdf / cdf[-1]
 
-        def panel(a: float):
-            s = a + half + half * _GL_NODES
-            return s, half * _GL_WEIGHTS, _moonrock_log_integrand(s, alpha, beta)
-
-        left_edge = center - half
-        s0, w0, f0 = panel(left_edge)
-        chunks = [(s0, w0, f0)]
-        ref = float(np.max(f0))
-
-        def mass(f, w):
-            return float(np.sum(w * np.exp(f - ref)))
-
-        total = mass(f0, w0)
-        # expand right, then left; the integrand is unimodal in s
-        for direction in (+1, -1):
-            for k in range(_MAX_PANELS):
-                a = left_edge + direction * (k + 1) * width
-                s, w, f = panel(a)
-                fmax = float(np.max(f))
-                if fmax > ref:
-                    total *= np.exp(ref - fmax)
-                    ref = fmax
-                m = mass(f, w)
-                chunks.append((s, w, f))
-                still_growing = m > total * 0.5
-                total += m
-                if m < _TAIL_REL * total and not still_growing:
-                    break
-            else:
-                raise DivergentIntegral(
-                    f"Moon Rock({alpha}, {beta}) mass does not decay; "
-                    "integral treated as divergent"
-                )
-        order = np.argsort(np.concatenate([c[0] for c in chunks]))
-        self.s = np.concatenate([c[0] for c in chunks])[order]
-        self.w = np.concatenate([c[1] for c in chunks])[order]
-        self.logf = np.concatenate([c[2] for c in chunks])[order]
-        rel = np.exp(self.logf - ref)
-        norm = float(np.sum(self.w * rel))
-        if not np.isfinite(norm) or norm <= 0:
-            raise DivergentIntegral(f"Moon Rock({alpha}, {beta}) normalizer invalid")
-        self.log_norm = ref + float(np.log(norm))
-        self.mean = float(np.sum(self.w * rel * np.exp(self.s))) / norm
-        self.second_moment = float(np.sum(self.w * rel * np.exp(2.0 * self.s))) / norm
+    @functools.cached_property
+    def moments(self) -> tuple[float, float, float]:
+        """(log normalizer, mean, variance) of the density in t."""
+        w = self._f.copy()
+        w[[0, -1]] *= 0.5
+        mass = float(np.sum(w))
+        t = np.exp(self.s)
+        mean = float(w @ t) / mass
+        variance = float(w @ (t - mean) ** 2) / mass
+        spacing = (self.s[-1] - self.s[0]) / (self.s.size - 1)
+        return float(self._ref + np.log(mass * spacing)), mean, variance
 
 
 @dataclass(frozen=True)
@@ -509,8 +495,9 @@ class MoonRockParams:
     Requires alpha >= 0 and beta > 0. Asymptotically the kernel behaves like
     e^{(alpha-beta)t} t^{alpha/2}, so the normalizing integral is finite
     exactly when beta > alpha; construction raises DivergentIntegral
-    otherwise. The quadrature grid behind the normalizer and the moments is
-    built on first use, so a member that is only sampled never builds it.
+    otherwise. One trapezoid grid serves sampling, quantiles, the
+    normalizer and the moments. It is built on first use and cached, and
+    the moments are computed from it only when first asked for.
     """
 
     alpha: float
@@ -544,76 +531,32 @@ class MoonRockParams:
 
 
 def moonrock_log_normalizer(p: MoonRockParams) -> float:
-    return p._grid.log_norm
-
-
-def moonrock_normalizer(p: MoonRockParams) -> float:
-    """The normalizing integral itself (use the log form internally)."""
-    return float(np.exp(p._grid.log_norm))
+    return p._grid.moments[0]
 
 
 def moonrock_mean(p: MoonRockParams) -> float:
-    return p._grid.mean
+    return p._grid.moments[1]
 
 
 def moonrock_variance(p: MoonRockParams) -> float:
-    return p._grid.second_moment - p._grid.mean**2
+    return p._grid.moments[2]
 
 
 def moonrock_log_density(p: MoonRockParams, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise DomainError("Moon Rock support is x > 0")
-    out = -p.beta * x - p._grid.log_norm
+    out = -p.beta * x - moonrock_log_normalizer(p)
     if p.alpha != 0.0:
         out = out + p.alpha * _xlogx_minus_lgamma(x)
     return float(out) if out.ndim == 0 else out
 
 
-def _moonrock_cdf_range(alpha: float, beta: float):
-    """(lo, hi) in s = log t that the inverse-CDF grid spans.
-
-    Probes the log integrand at the mode plus and minus 1..64 steps, in one
-    call, with the step 1/sqrt(curvature at the mode) capped at 1. Each end
-    is the first probe beyond the highest one whose log integrand lies
-    _CDF_LOG_DROP below it, which leaves a negligible tail. A side that never
-    falls that far raises DivergentIntegral.
-    """
-    center = _moonrock_center(alpha, beta)
-    curv = _moonrock_curvature(alpha, beta, center)
-    step = 1.0 / math.sqrt(curv) if curv > 1.0 else 1.0
-    s = center + step * _CDF_PROBE_STEPS
-    g = _moonrock_log_integrand(s, alpha, beta)
-    top = int(np.argmax(g))
-    below = g < g[top] - _CDF_LOG_DROP
-    left = np.flatnonzero(below[:top])
-    right = np.flatnonzero(below[top:])
-    if left.size == 0 or right.size == 0:
-        raise DivergentIntegral(
-            f"Moon Rock({alpha}, {beta}) integrand does not decay within "
-            f"{_CDF_PROBE_STEPS[-1]:.0f} steps of its mode"
-        )
-    return float(s[left[-1]]), float(s[top + right[0]])
-
-
-def _moonrock_cdf_grid(p: MoonRockParams):
-    """Uniform grid in s = log t over ``_moonrock_cdf_range``, with the
-    trapezoid-rule CDF along it."""
-    s = np.linspace(*_moonrock_cdf_range(p.alpha, p.beta), _CDF_GRID_SIZE)
-    logf = _moonrock_log_integrand(s, p.alpha, p.beta)
-    f = np.exp(logf - np.max(logf))
-    # the spacing is uniform, so the trapezoid weight cancels in the normalization
-    cdf = np.concatenate(([0.0], np.cumsum(f[1:] + f[:-1])))
-    cdf /= cdf[-1]
-    return s, cdf
-
-
 def moonrock_sample(p: MoonRockParams, rng, size=None):
-    """Inverse-CDF draws from a 2048-node grid over the range
-    ``_moonrock_cdf_range`` finds; the CDF is accumulated by the trapezoid
-    rule and inverted by linear interpolation in s. It needs no normalizer."""
-    s, cdf = _moonrock_cdf_grid(p)
-    out = np.exp(np.interp(rng.uniform(size=size), cdf, s))
+    """Inverse-CDF draws: the grid's trapezoid CDF inverted by linear
+    interpolation in s."""
+    g = p._grid
+    out = np.exp(np.interp(rng.uniform(size=size), g.cdf, g.s))
     return float(out) if size is None else out
 
 
@@ -622,6 +565,6 @@ def moonrock_quantile(p: MoonRockParams, prob):
     prob = np.asarray(prob, dtype=float)
     if np.any(prob < 0) or np.any(prob > 1):
         raise DomainError("quantile probabilities must lie in [0, 1]")
-    s, cdf = _moonrock_cdf_grid(p)
-    out = np.exp(np.interp(prob, cdf, s))
+    g = p._grid
+    out = np.exp(np.interp(prob, g.cdf, g.s))
     return float(out) if prob.ndim == 0 else out

@@ -372,13 +372,14 @@ def kde_density(draws, grid=None):
     return grid, density
 
 
-def _split_half_z(draws, n_batches=10):
-    """Half-mean disagreement in batch-means standard errors."""
+def _split_half_z(draws):
+    """Half-mean disagreement in batch-means standard errors, from 10
+    batches per half."""
     half = draws.size // 2
     ses = []
     means = []
     for part in (draws[:half], draws[half : 2 * half]):
-        batches = np.array_split(part, n_batches)
+        batches = np.array_split(part, 10)
         bm = np.array([np.mean(chunk) for chunk in batches])
         means.append(float(np.mean(part)))
         ses.append(float(np.std(bm, ddof=1) / np.sqrt(len(batches))))

@@ -145,13 +145,9 @@ class TLMMHyper:
 
     def __post_init__(self):
         scales = tuple(float(s) for s in self.random_scales)
-        if (
-            self.fixed_scale <= 0
-            or self.noise_scale <= 0
-            or self.df_rate <= 0
-            or any(s <= 0 for s in scales)
-        ):
-            raise InvalidHyperparameter("all hyperparameters must be positive")
+        values = (self.fixed_scale, self.noise_scale, self.df_rate, *scales)
+        if not all(np.isfinite(v) and v > 0 for v in values):
+            raise InvalidHyperparameter("all hyperparameters must be finite and positive")
         object.__setattr__(self, "fixed_scale", float(self.fixed_scale))
         object.__setattr__(self, "noise_scale", float(self.noise_scale))
         object.__setattr__(self, "random_scales", scales)
@@ -424,17 +420,12 @@ def extract_inv_chisq(eta) -> tuple:
     return float(delta), float(lam)
 
 
-def df_density_grid(
-    df_half: MoonRockParams,
-    n_points: int = 401,
-    lower: float = 1e-3,
-    tail: float = 1e-10,
-):
+def df_density_grid(df_half: MoonRockParams):
     """Evaluate the degrees-of-freedom posterior density q(nu) = q(2 upsilon)
-    on an equally spaced grid whose upper end leaves less than ``tail`` mass
-    beyond it."""
-    hi = 2.0 * moonrock_quantile(df_half, 1.0 - tail)
-    nu = np.linspace(lower, hi, n_points)
+    on 401 equally spaced points from 1e-3 to where less than 1e-10 of its
+    mass lies beyond."""
+    hi = 2.0 * moonrock_quantile(df_half, 1.0 - 1e-10)
+    nu = np.linspace(1e-3, hi, 401)
     density = 0.5 * np.exp(moonrock_log_density(df_half, nu / 2.0))
     return nu, density
 
@@ -480,13 +471,6 @@ class PosteriorSummary:
         if self.noise_delta <= 2:
             raise DomainError("noise variance mean needs delta > 2")
         return self.noise_lambda / (self.noise_delta - 2.0)
-
-    def noise_variance_sd(self) -> float:
-        d, lam = self.noise_delta, self.noise_lambda
-        if d <= 4:
-            raise DomainError("noise variance sd needs delta > 4")
-        mean = lam / (d - 2.0)
-        return mean * np.sqrt(2.0 / (d - 4.0))
 
     def noise_sd_mean(self) -> float:
         """E(sigma) for sigma^2 scaled inverse chi-squared."""

@@ -142,6 +142,12 @@ def test_scale_list_validation(small_csv, tmp_path, capsys):
         ("compare", ["--tol", "0"]),
         ("fit-mcmc", ["--kept", "10"]),
         ("compare", ["--kept", "10"]),
+    ]
+    + [
+        (command, [flag, value])
+        for command in ("fit-vmp", "fit-mcmc", "compare")
+        for flag in ("--sigma-beta", "--s-sigma", "--lambda-nu", "--s-Sigma")
+        for value in ("nan", "inf")
     ],
 )
 def test_bad_run_length_rejected_before_work(command, extra, small_csv, tmp_path, capsys, monkeypatch):

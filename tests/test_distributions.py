@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
+from scipy.integrate import IntegrationWarning, quad
 from scipy.special import gammaln, xlogy
 
 from oracles import NaturalMVN, mvn_from_natural, mvn_to_natural
@@ -327,14 +330,13 @@ class TestMoonRock:
         p = MoonRockParams(*ab)
         assert_allclose(dist.moonrock_log_normalizer(p), log_norm, rtol=1e-10, atol=1e-11)
         assert_allclose(dist.moonrock_mean(p), mean, rtol=1e-9)
-        assert_allclose(dist.moonrock_normalizer(p), np.exp(log_norm), rtol=1e-9)
 
     @given(st.floats(min_value=0.01, max_value=1000.0))
     @settings(max_examples=40, deadline=None)
     def test_alpha_zero_closed_form(self, beta):
         # the kernel is e^{-beta x}, so the normalizer is 1/beta, mean 1/beta
         p = MoonRockParams(0.0, beta)
-        assert_allclose(dist.moonrock_normalizer(p), 1 / beta, rtol=1e-10)
+        assert_allclose(np.exp(dist.moonrock_log_normalizer(p)), 1 / beta, rtol=1e-10)
         assert_allclose(dist.moonrock_mean(p), 1 / beta, rtol=1e-9)
 
     def test_density_normalizes(self):
@@ -410,15 +412,75 @@ class TestMoonRock:
         got = dist.moonrock_quantile(MoonRockParams(*ab), prob)
         assert_allclose(got, np.interp(prob, cdf, t), rtol=rtol)
 
-    def test_sampling_builds_no_normalizer_grid(self):
-        # the sampler and the quantile use their own CDF grid; the quadrature
-        # grid behind the normalizer is built only when a moment asks for it
+    def test_one_grid_serves_sampling_quantiles_and_moments(self, monkeypatch):
+        # sampling, a quantile and the moments of one member share one grid
+        # build; sampling alone computes no moments
+        builds = []
+        grid_init = dist._MoonRockGrid.__init__
+
+        def counted(self, alpha, beta):
+            builds.append((alpha, beta))
+            grid_init(self, alpha, beta)
+
+        monkeypatch.setattr(dist._MoonRockGrid, "__init__", counted)
         p = MoonRockParams(300.0, 310.0)
         dist.moonrock_sample(p, np.random.default_rng(0), size=10)
         dist.moonrock_quantile(p, 0.5)
-        assert "_grid" not in vars(p)
+        assert "moments" not in vars(p._grid)
         dist.moonrock_mean(p)
-        assert "_grid" in vars(p)
+        dist.moonrock_variance(p)
+        dist.moonrock_log_normalizer(p)
+        dist.moonrock_log_density(p, 1.0)
+        assert "moments" in vars(p._grid)
+        assert builds == [(300.0, 310.0)]
+
+    @staticmethod
+    def _quad_reference(alpha, beta):
+        # log normalizer, mean and variance by adaptive quadrature in
+        # s = log t, on either side of the peak of the log integrand found
+        # on a dense scan, out to where it has fallen by e^-60
+        s = np.linspace(-100.0, 60.0, 320_001)
+        g = dist._moonrock_log_integrand(s, alpha, beta)
+        top = int(np.argmax(g))
+        lo = s[np.flatnonzero(g[:top] < g[top] - 60.0)[-1]]
+        hi = s[top + np.flatnonzero(g[top:] < g[top] - 60.0)[0]]
+
+        def integral(weight):
+            def f(x):
+                log_f = dist._moonrock_log_integrand(np.array([x]), alpha, beta)[0]
+                return np.exp(log_f - g[top]) * weight(np.exp(x))
+
+            return sum(
+                quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+                for a, b in ((lo, s[top]), (s[top], hi))
+            )
+
+        mass = integral(lambda t: 1.0)
+        mean = integral(lambda t: t) / mass
+        return g[top] + np.log(mass), mean, integral(lambda t: (t - mean) ** 2) / mass
+
+    @given(
+        st.one_of(
+            st.floats(min_value=-2.0, max_value=3.0).map(lambda e: (0.0, 10.0**e)),
+            st.tuples(
+                st.floats(min_value=-2.0, max_value=4.0), st.floats(min_value=-4.0, max_value=1.0)
+            ).map(lambda e: (10.0 ** e[0], 10.0 ** e[0] * (1.0 + 10.0 ** e[1]))),
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_moments_against_adaptive_quadrature(self, ab):
+        # alpha = 0 with beta in [1e-2, 1e3], or alpha in [1e-2, 1e4] with
+        # beta / alpha - 1 in [1e-4, 10]. The log integrand is a difference
+        # of terms of size about alpha t, so at alpha = 1e4 its rounding
+        # limits any quadrature's mean to about 1e-10 and variance to 1e-9
+        alpha, beta = ab
+        p = MoonRockParams(alpha, beta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            log_norm, mean, variance = self._quad_reference(alpha, beta)
+        assert abs(dist.moonrock_log_normalizer(p) - log_norm) <= 1e-12 * max(1.0, abs(log_norm))
+        assert_allclose(dist.moonrock_mean(p), mean, rtol=2e-10)
+        assert_allclose(dist.moonrock_variance(p), variance, rtol=1e-8)
 
     def test_rejects_nonpositive_points(self):
         p = MoonRockParams(1.0, 2.0)

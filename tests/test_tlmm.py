@@ -295,10 +295,12 @@ def test_data_must_be_finite(field, bad):
 
 
 def test_hyper_validation():
-    with pytest.raises(InvalidHyperparameter):
-        tlmm.TLMMHyper(fixed_scale=-1.0)
-    with pytest.raises(InvalidHyperparameter):
-        tlmm.TLMMHyper(random_scales=(1.0, 0.0))
+    # every hyperparameter must be finite and > 0
+    for field in ("fixed_scale", "noise_scale", "df_rate", "random_scales"):
+        for bad in (-1.0, 0.0, np.nan, np.inf):
+            value = (1.0, bad) if field == "random_scales" else bad
+            with pytest.raises(InvalidHyperparameter):
+                tlmm.TLMMHyper(**{field: value})
     assert tlmm.TLMMHyper.diffuse(3).random_scales == (1e5, 1e5, 1e5)
 
 
@@ -372,7 +374,7 @@ def test_first_sweep_keeps_every_posterior_extractable(small_data):
 
 def test_one_moon_rock_grid_per_sweep(monkeypatch):
     # likelihood and scale_mix read the same q(df_half) within a sweep and
-    # share one MoonRockParams, so its normalizer grid is built once
+    # share one MoonRockParams, so its Moon Rock grid is built once
     builds = []
     grid_init = distributions._MoonRockGrid.__init__
 
@@ -384,7 +386,8 @@ def test_one_moon_rock_grid_per_sweep(monkeypatch):
     data, _ = tlmm.simulate(seed=1)
     fit = tlmm.fit(data)
     sweeps = fit.summary.report.iterations
-    # plus one for the summary's q(nu) density of the final q(df_half)
+    # plus one for the summary's q(nu) density and moments of the final
+    # q(df_half), whose quantile and normalizer share that grid
     assert len(builds) == sweeps + 1
 
 
@@ -459,8 +462,9 @@ def test_nu_grid_integrates_to_one(example_fit):
 def test_df_outputs_are_smooth_in_beta():
     # q(upsilon) of the VMP fit to tlmm.simulate(seed=1, n_groups=10,
     # group_size=15, df=100) at tol 1e-10. One ulp more of beta may move its
-    # mean and the upper end of the nu density grid by rounding only (a
-    # finite-difference curvature for the panel width amplifies it to 1e-8)
+    # mean and the upper end of the nu density grid by rounding only: both
+    # come from the one Moon Rock grid, whose range is set by the curvature
+    # at the mode in closed form
     alpha, beta = 150.0, 150.6716682511638
     p0 = MoonRockParams(alpha, beta)
     p1 = MoonRockParams(alpha, np.nextafter(beta, np.inf))
