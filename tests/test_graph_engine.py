@@ -5,10 +5,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from igwvmp import fragments as fr
+from igwvmp import tlmm
 from igwvmp.distributions import CommonIGW, Graph
 from igwvmp.errors import (
     DimensionMismatch,
     GraphTagMismatch,
+    ImproperMessage,
     InvalidHyperparameter,
     MissingMessage,
 )
@@ -41,6 +43,43 @@ def conjugate_toy(delta0=3.0, lam0=5.0, y=None):
         ],
     )
     return graph, y
+
+
+def sqrt_toy():
+    """x <- sqrt(2 x) on one scalar message, from below its fixed point 2.
+
+    A stored value above 2 counts as improper, so a SQUAREM step past the
+    fixed point is rejected by its stabilizing sweep.
+    """
+
+    def update(engine):
+        x = engine.factor_to_node("f", "x").eta[0]
+        if x > 2.0:
+            raise ImproperMessage(f"x = {x} > 2")
+        return {"x": Message(np.array([np.sqrt(2.0 * x)]))}
+
+    graph = FactorGraph(nodes=[Node("x", 1)], factors=[Factor("f", ("x",), update)])
+    graph.store("f", "x", Message(np.array([0.5])))
+    return graph
+
+
+def decay_toy(fail_on=None, error=ImproperMessage):
+    """A factor that keeps halving its message, so no run converges. With
+    ``fail_on``, its call of that number raises ``error``."""
+    calls = []
+
+    def decay(engine):
+        calls.append(None)
+        if len(calls) == fail_on:
+            raise error("failing on purpose")
+        return {"x": Message(np.array([-2.0, -(0.5 ** len(calls))]), Graph.FULL)}
+
+    graph = FactorGraph(
+        nodes=[Node("x", 2, Graph.FULL)],
+        factors=[Factor("f", ("x",), decay)],
+    )
+    graph.store("f", "x", Message(np.array([-2.0, -1.0]), Graph.FULL))
+    return graph
 
 
 class TestStoreDiscipline:
@@ -175,6 +214,114 @@ class TestRun:
         )
         with pytest.raises(MissingMessage):
             graph.sweep()
+
+
+class TestState:
+    def test_state_follows_store_order_and_round_trips(self):
+        graph, _ = conjugate_toy()
+        assert graph.state().shape == (0,)
+        graph.store("likelihood", "noise", Message(np.array([-2.0, -1.0]), Graph.FULL))
+        graph.store("prior", "noise", Message(np.array([-3.0, -4.0]), Graph.FULL))
+        assert_allclose(graph.state(), [-2.0, -1.0, -3.0, -4.0], rtol=0)
+        graph.load_state([-5.0, -6.0, -7.0, -8.0])
+        assert_allclose(graph.factor_to_node("prior", "noise").eta, [-7.0, -8.0], rtol=0)
+        assert graph.factor_to_node("prior", "noise").graph is Graph.FULL
+        assert_allclose(graph.state(), [-5.0, -6.0, -7.0, -8.0], rtol=0)
+
+    def test_load_state_keeps_store_checks(self):
+        graph, _ = conjugate_toy()
+        graph.sweep()
+        before = graph.state()
+        with pytest.raises(DimensionMismatch):
+            graph.load_state(np.zeros(3))
+        with pytest.raises(DimensionMismatch):
+            graph.load_state([-2.0, np.inf, -2.0, -1.0])
+        assert np.array_equal(graph.factor_to_node("likelihood", "noise").eta, before[2:])
+
+    def test_change_rule_equals_per_message_rule(self):
+        # the flat rule is bitwise the per-(factor, node) maximum of
+        # |new - old| / (|old| + 1e-10)
+        data, _ = tlmm.simulate(seed=11, n_groups=6, group_size=8)
+        plain = tlmm.build_graph(data, tlmm.TLMMHyper.diffuse(2))
+        ran = tlmm.build_graph(data, tlmm.TLMMHyper.diffuse(2))
+        for _ in range(3):
+            old = {k: m.eta for k, m in plain._store.items()}
+            plain.sweep()
+            expected = max(
+                float(np.max(np.abs(m.eta - old[k]) / (np.abs(old[k]) + 1e-10)))
+                for k, m in plain._store.items()
+            )
+            report = ran.run(tol=1e-10, max_iters=1)
+            assert report.changes == (expected,)
+
+
+class TestSquarem:
+    def test_improper_extrapolation_falls_back_to_the_plain_fixed_point(self):
+        reference = sqrt_toy()
+        for _ in range(200):
+            reference.sweep()
+        graph = sqrt_toy()
+        report = graph.run(tol=1e-13, max_iters=200)
+        assert report.converged
+        # some extrapolated states were improper, and every one was dropped
+        assert np.inf in report.changes
+        assert np.isfinite(report.final_change)
+        assert abs(graph.state()[0] - reference.state()[0]) < 1e-12
+
+    def test_extrapolation_cuts_sweeps_of_a_linear_contraction(self):
+        # x <- x / 2 + 1: one extrapolated step lands on the fixed point 2
+        def update(engine):
+            x = engine.factor_to_node("f", "x").eta
+            return {"x": Message(x / 2.0 + 1.0)}
+
+        graph = FactorGraph(nodes=[Node("x", 1)], factors=[Factor("f", ("x",), update)])
+        graph.store("f", "x", Message(np.array([0.0])))
+        report = graph.run(tol=1e-10, max_iters=100)
+        assert report.converged
+        assert report.iterations <= 4
+        assert abs(graph.state()[0] - 2.0) < 1e-12
+
+    @pytest.mark.parametrize("max_iters", [1, 2, 3, 4, 5, 7, 8])
+    def test_budget_counts_every_sweep(self, max_iters, monkeypatch, caplog):
+        graph = decay_toy()
+        sweeps = []
+        sweep = graph.sweep
+        monkeypatch.setattr(graph, "sweep", lambda schedule=None: (sweeps.append(1), sweep(schedule)))
+        with caplog.at_level(logging.INFO, logger="igwvmp.graph_engine"):
+            report = graph.run(tol=1e-30, max_iters=max_iters)
+        assert not report.converged
+        assert report.iterations == max_iters == len(report.changes) == len(sweeps)
+        lines = [r.message for r in caplog.records]
+        assert [int(line.split(" ")[0]) for line in lines] == list(range(1, max_iters + 1))
+
+    def test_budget_ending_on_a_rejected_sweep_leaves_the_last_completed_state(self):
+        changes = sqrt_toy().run(tol=1e-13, max_iters=200).changes
+        first_rejected = changes.index(np.inf)
+        graph = sqrt_toy()
+        report = graph.run(tol=1e-13, max_iters=first_rejected + 1)
+        assert not report.converged
+        assert report.changes == changes[: first_rejected + 1]
+        assert report.final_change == changes[first_rejected - 1]
+        # the store holds the state the last completed sweep left
+        before = sqrt_toy()
+        before.run(tol=1e-13, max_iters=first_rejected)
+        assert np.array_equal(graph.state(), before.state())
+
+    @pytest.mark.parametrize("fail_on", [1, 2, 4, 5])
+    def test_plain_sweep_error_propagates(self, fail_on):
+        # calls 1, 2, 4 and 5 are the plain sweeps x0 -> x1 -> x2 of the
+        # first two cycles; call 3 is the first stabilizing sweep
+        with pytest.raises(ImproperMessage):
+            decay_toy(fail_on).run(tol=1e-30, max_iters=10)
+
+    def test_stabilizing_sweep_error_rejects_the_step(self):
+        report = decay_toy(fail_on=3).run(tol=1e-30, max_iters=6)
+        assert report.changes[2] == np.inf
+        assert np.all(np.isfinite(report.changes[:2] + report.changes[3:]))
+
+    def test_non_numerical_error_in_stabilizing_sweep_propagates(self):
+        with pytest.raises(MissingMessage):
+            decay_toy(fail_on=3, error=MissingMessage).run(tol=1e-30, max_iters=6)
 
 
 class TestLeafNode:

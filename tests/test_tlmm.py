@@ -16,11 +16,13 @@ from igwvmp.distributions import Graph, MoonRockParams, igw_to_natural, moonrock
 from igwvmp.errors import (
     DimensionMismatch,
     DomainError,
+    IGWVMPError,
     ImproperMessage,
     InvalidHyperparameter,
     NonSPDPrecision,
     NotConverged,
 )
+from igwvmp.graph_engine import FactorGraph
 from igwvmp.prior_specs import HalfCauchySpec, HuangWandSpec, plan_prior
 from oracles import (
     NaturalMVN,
@@ -374,7 +376,9 @@ def test_first_sweep_keeps_every_posterior_extractable(small_data):
 
 def test_one_moon_rock_grid_per_sweep(monkeypatch):
     # likelihood and scale_mix read the same q(df_half) within a sweep and
-    # share one MoonRockParams, so its Moon Rock grid is built once
+    # share one MoonRockParams, so its Moon Rock grid is built once per
+    # completed sweep; a sweep from a rejected extrapolated state can stop
+    # before the likelihood and build none
     builds = []
     grid_init = distributions._MoonRockGrid.__init__
 
@@ -382,13 +386,105 @@ def test_one_moon_rock_grid_per_sweep(monkeypatch):
         builds.append((alpha, beta))
         grid_init(self, alpha, beta)
 
+    completed = []
+    sweep = FactorGraph.sweep
+
+    def counted_sweep(self, schedule=None):
+        sweep(self, schedule)
+        completed.append(schedule)
+
     monkeypatch.setattr(distributions._MoonRockGrid, "__init__", counted)
+    monkeypatch.setattr(FactorGraph, "sweep", counted_sweep)
     data, _ = tlmm.simulate(seed=1)
-    fit = tlmm.fit(data)
-    sweeps = fit.summary.report.iterations
+    tlmm.fit(data)
     # plus one for the summary's q(nu) density and moments of the final
     # q(df_half), whose quantile and normalizer share that grid
-    assert len(builds) == sweeps + 1
+    assert len(builds) == len(completed) + 1
+
+
+def _posterior_blocks(summary):
+    return {
+        "beta_u.mean": summary.coefficient_mean,
+        "beta_u.cov": summary.coefficient_cov,
+        "sigma2": np.array([summary.noise_delta, summary.noise_lambda]),
+        "Sigma": np.concatenate(([summary.variance.xi], summary.variance.Lambda.ravel())),
+        "upsilon": np.array([summary.df_half.alpha, summary.df_half.beta]),
+    }
+
+
+# the four standard sets, with the sweeps the unaccelerated loop took at tol 1e-10
+STANDARD_SETS = [
+    (dict(n_groups=10), 153),
+    (dict(n_groups=20), 248),
+    (dict(n_groups=40), 155),
+    (dict(n_groups=10, df=100.0), 998),
+]
+
+
+@pytest.mark.parametrize(
+    "kwargs, plain_sweeps", STANDARD_SETS, ids=["m10", "m20", "m40", "m10-df100"]
+)
+def test_accelerated_fit_agrees_with_a_tight_fit_in_fewer_sweeps(kwargs, plain_sweeps):
+    data, _ = tlmm.simulate(seed=1, group_size=15, **kwargs)
+    fit = tlmm.fit(data, tol=1e-10, max_iters=2000)
+    tight = tlmm.fit(data, tol=1e-13, max_iters=5000)
+    assert fit.summary.report.iterations < plain_sweeps
+    got, want = _posterior_blocks(fit.summary), _posterior_blocks(tight.summary)
+    for name in want:
+        gap = np.max(np.abs(got[name] - want[name]))
+        assert gap < 1e-8 * np.max(np.abs(want[name])), name
+
+
+def _robustness_cases():
+    base, _ = tlmm.simulate(seed=1, n_groups=20, group_size=15)
+    y, x, group = base.y, base.x, base.group
+    return {
+        "m20": base,
+        "y*1e-6": tlmm.TLMMData(y * 1e-6, x, group),
+        "x*1e4": tlmm.TLMMData(y, x * 1e4, group),
+        "y*1e6": tlmm.TLMMData(y * 1e6, x, group),
+        "y+1e6": tlmm.TLMMData(y + 1e6, x, group),
+        "1 group of 60": tlmm.simulate(seed=1, n_groups=1, group_size=60)[0],
+        "40 groups of 1": tlmm.simulate(seed=1, n_groups=40, group_size=1)[0],
+        "40 groups of 2": tlmm.simulate(seed=1, n_groups=40, group_size=2)[0],
+        "m10 df 100": tlmm.simulate(seed=1, n_groups=10, group_size=15, df=100.0)[0],
+        "constant x": tlmm.TLMMData(y, np.full_like(x, 0.5), group),
+    }
+
+
+# how each case ended under the unaccelerated loop at max_iters=500
+ROBUSTNESS_OUTCOMES = {
+    "m20": "converged",
+    "y*1e-6": "converged",
+    "x*1e4": "converged",
+    "y*1e6": "NotConverged",
+    "y+1e6": "NotConverged",
+    "1 group of 60": "NotConverged",
+    "40 groups of 1": "NotConverged",
+    "40 groups of 2": "NotConverged",
+    "m10 df 100": "NotConverged",
+    "constant x": "NonSPDPrecision",
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROBUSTNESS_OUTCOMES))
+def test_robustness_cases_end_as_before_or_converge(case):
+    data = _robustness_cases()[case]
+    try:
+        fit = tlmm.fit(data, max_iters=500)
+    except NotConverged as exc:
+        outcome = "NotConverged"
+        assert exc.report.iterations == 500 == len(exc.report.changes)
+        assert np.isfinite(exc.report.final_change)
+    except IGWVMPError as exc:
+        outcome = type(exc).__name__
+    else:
+        outcome = "converged"
+        assert fit.summary.report.iterations <= 500
+    before = ROBUSTNESS_OUTCOMES[case]
+    # only a fit that ran out of sweeps may now converge; a non-identifiable
+    # model (constant x) must still be refused
+    assert outcome == before or (before == "NotConverged" and outcome == "converged")
 
 
 def test_sweeps_need_no_k_by_k_array():
