@@ -63,8 +63,6 @@ class TLikelihoodResult(NamedTuple):
     to_coefficients: np.ndarray
     to_noise: IGWMessage
     to_df_half: np.ndarray
-    b_shape: float
-    b_rates: np.ndarray
 
 
 def canonical_eta(eta: np.ndarray, graph: Graph) -> np.ndarray:
@@ -213,4 +211,4 @@ def t_likelihood_update(
         np.array([-n / 2.0, -0.5 * float(np.sum(mean_inv_b * r))]), Graph.FULL
     )
     to_df_half = np.array([float(n), -float(np.sum(mean_log_b + mean_inv_b))])
-    return TLikelihoodResult(to_coefficients, to_noise, to_df_half, b_shape, b_rates)
+    return TLikelihoodResult(to_coefficients, to_noise, to_df_half)

@@ -23,7 +23,7 @@ plain or stabilizing, by the same rule.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -81,14 +81,12 @@ class Factor:
     """A factor with an update rule.
 
     ``update`` is called with the engine and returns {node_name: Message} for
-    the factor's edges. ``reads`` declares messages of other factors the
-    update consumes beyond its own edges, for documentation and validation.
+    the factor's edges.
     """
 
     name: str
     edges: tuple
     update: Callable
-    reads: tuple = field(default=())
 
 
 @dataclass(frozen=True)
@@ -116,11 +114,6 @@ class FactorGraph:
             for node in f.edges:
                 if node not in self.nodes:
                     raise MissingMessage(f"factor {f.name} references unknown node {node}")
-            for fac, node in f.reads:
-                if fac not in self.factors or node not in self.nodes:
-                    raise MissingMessage(
-                        f"factor {f.name} reads unknown message ({fac}, {node})"
-                    )
         # each node's factors in construction order, which fixes the order
         # of the message sums below
         self._incident = {

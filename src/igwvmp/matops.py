@@ -13,8 +13,11 @@ Conventions used throughout the package:
 The two maps the natural-parameter wire convention needs, D_d^T vec(A) and
 vec^{-1}(D_d^{+T} eta), are pure index arithmetic on the vech positions
 (``fold_vech`` and ``unfold_vech``), so no d^2 x d(d+1)/2 matrix is built
-while fitting. The dense duplication matrices and their Moore-Penrose
-inverses are kept as the test oracle for those maps.
+while fitting. The package does not call ``duplication`` either: it stays
+here because the benchmark harness (``perfbench/spans.py``) wraps
+``matops.duplication`` to report how many duplication megabytes a fit
+computes. ``vec``, its inverse and the Moore-Penrose inverse of D_d, which
+only the tests use, are in ``tests/oracles.py``.
 
 The Gaussian coefficient node of the mixed model has an arrowhead
 precision: p x p fixed-effect entries, m border blocks of p x q and m
@@ -34,8 +37,6 @@ import numpy as np
 from .errors import AsymmetricInput, DimensionMismatch
 
 __all__ = [
-    "vec",
-    "vec_inverse",
     "vech",
     "unvech",
     "fold_vech",
@@ -52,7 +53,6 @@ __all__ = [
     "arrowhead_backward",
     "arrowhead_moments",
     "duplication",
-    "duplication_pinv",
     "is_spd",
     "vech_len",
     "dim_from_vech_len",
@@ -71,22 +71,6 @@ def dim_from_vech_len(n: int) -> int:
     if vech_len(d) != n:
         raise DimensionMismatch(f"{n} is not d(d+1)/2 for any integer d")
     return d
-
-
-def vec(M: np.ndarray) -> np.ndarray:
-    """Column-major vectorization of a square matrix."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionMismatch(f"vec expects a square matrix, got shape {M.shape}")
-    return M.ravel(order="F").copy()
-
-
-def vec_inverse(a: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of vec: reshape a length-d^2 vector to a d x d matrix."""
-    a = np.asarray(a, dtype=float)
-    if a.size != d * d:
-        raise DimensionMismatch(f"vec_inverse needs length {d * d}, got {a.size}")
-    return a.reshape((d, d), order="F").copy()
 
 
 @lru_cache(maxsize=None)
@@ -187,20 +171,6 @@ def duplication(d: int) -> np.ndarray:
             D[i + j * d, _tri_index(max(i, j), min(i, j), d)] = 1.0
     D.flags.writeable = False
     return D
-
-
-@lru_cache(maxsize=None)
-def duplication_pinv(d: int) -> np.ndarray:
-    """Moore-Penrose inverse (D_d^T D_d)^{-1} D_d^T of the duplication matrix.
-
-    D^T D is diagonal (1 for diagonal entries, 2 for off-diagonal pairs), so
-    the result is exact in floating point.
-    """
-    D = duplication(d)
-    counts = D.sum(axis=0)
-    Dp = D.T / counts[:, None]
-    Dp.flags.writeable = False
-    return Dp
 
 
 def spd_threshold(diagonal: np.ndarray) -> float:

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtri
 
 from . import matops
@@ -428,6 +427,8 @@ def match_igw_full(Sigma_draws) -> CommonIGW:
 def _beta_matching_mean(alpha: float, target: float) -> float:
     """The rate at which the two-parameter density has the target mean; the
     mean decreases from infinity to zero as beta rises above alpha."""
+    # imported here: scipy.optimize is slow to load and only fit-mcmc needs it
+    from scipy.optimize import brentq
 
     def mean_at(g):
         return moonrock_mean(MoonRockParams(alpha, alpha + g))
@@ -473,6 +474,8 @@ def match_moonrock(draws) -> MoonRockParams:
         raise DomainError("moment matching needs positive mean and variance")
     if v >= m * m:
         return MoonRockParams(0.0, 1.0 / m)
+    # imported here: scipy.optimize is slow to load and only fit-mcmc needs it
+    from scipy.optimize import brentq
 
     def excess(log_alpha):
         alpha = float(np.exp(log_alpha))

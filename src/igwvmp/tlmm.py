@@ -699,29 +699,18 @@ def build_graph(data: TLMMData, hyper: TLMMHyper, design="slope") -> FactorGraph
     def scale_mix_update(g):
         return {"df_half": Message(composite(g).to_df_half)}
 
+    # Updates read whole q* densities, so each also sees the other factors'
+    # messages on its own nodes. The reads across edges come from the shared
+    # t-likelihood update (composite): likelihood reads q*(df_half), and
+    # scale_mix reads q*(coefficients) and q*(noise).
     factors = [
         Factor("cov_aux_prior", ("cov_aux",), cov_aux_prior_update),
         Factor("noise_aux_prior", ("noise_aux",), noise_aux_prior_update),
         Factor("cov_conditional", ("cov", "cov_aux"), cov_conditional_update),
         Factor("noise_conditional", ("noise", "noise_aux"), noise_conditional_update),
         Factor("coefficient_prior", ("coefficients", "cov"), coefficient_prior_update),
-        Factor(
-            "likelihood",
-            ("coefficients", "noise"),
-            likelihood_update,
-            reads=(("scale_mix", "df_half"), ("df_prior", "df_half")),
-        ),
-        Factor(
-            "scale_mix",
-            ("df_half",),
-            scale_mix_update,
-            reads=(
-                ("coefficient_prior", "coefficients"),
-                ("likelihood", "coefficients"),
-                ("noise_conditional", "noise"),
-                ("likelihood", "noise"),
-            ),
-        ),
+        Factor("likelihood", ("coefficients", "noise"), likelihood_update),
+        Factor("scale_mix", ("df_half",), scale_mix_update),
         Factor("df_prior", ("df_half",), df_prior_update),
     ]
     graph = FactorGraph(nodes, factors)

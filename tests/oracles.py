@@ -1,17 +1,78 @@
-"""Dense oracles for the block-form coefficient algebra.
+"""Dense oracles for the vech maps, the block-form coefficient algebra and
+the Inverse G-Wishart density.
 
-The program never forms the n x k design C or a k x k coefficient
-precision; these helpers do, so that tests can check the index-form design,
-the arrowhead natural vector and the block solver against plain dense
-linear algebra, the way ``matops.duplication`` checks ``fold_vech``.
+The program never forms vec, the Moore-Penrose inverse of a duplication
+matrix, the n x k design C or a k x k coefficient precision; these helpers
+do, so that tests can check ``fold_vech``/``unfold_vech``, the index-form
+design, the arrowhead natural vector and the block solver against plain
+dense linear algebra. ``igw_log_density`` is the exact density that the
+marginalization and sampler tests integrate against.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import multigammaln
 
 from igwvmp import matops
-from igwvmp.errors import NonSPDPrecision
+from igwvmp.distributions import CommonIGW, Graph, inv_chisq_log_density
+from igwvmp.errors import DimensionMismatch, DomainError, NonSPDPrecision
+
+
+def vec(M: np.ndarray) -> np.ndarray:
+    """Column-major vectorization of a square matrix."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise DimensionMismatch(f"vec expects a square matrix, got shape {M.shape}")
+    return M.ravel(order="F").copy()
+
+
+def vec_inverse(a: np.ndarray, d: int) -> np.ndarray:
+    """Inverse of vec: reshape a length-d^2 vector to a d x d matrix."""
+    a = np.asarray(a, dtype=float)
+    if a.size != d * d:
+        raise DimensionMismatch(f"vec_inverse needs length {d * d}, got {a.size}")
+    return a.reshape((d, d), order="F").copy()
+
+
+def duplication_pinv(d: int) -> np.ndarray:
+    """Moore-Penrose inverse (D_d^T D_d)^{-1} D_d^T of the duplication matrix.
+
+    D^T D is diagonal (1 for diagonal entries, 2 for off-diagonal pairs), so
+    the result is exact in floating point.
+    """
+    D = matops.duplication(d)
+    return D.T / D.sum(axis=0)[:, None]
+
+
+def igw_log_density(p: CommonIGW, X: np.ndarray) -> float:
+    """Exact Inverse G-Wishart log density, normalizing constant included."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    d = p.dim
+    if X.shape != (d, d):
+        raise DomainError(f"X must be {d} x {d}, got {X.shape}")
+    if p.graph is Graph.FULL:
+        X = 0.5 * (X + X.T)
+        if not matops.is_spd(X):
+            raise DomainError("full-graph density needs SPD X")
+        kappa = p.xi - d + 1.0
+        _, logdet_L = np.linalg.slogdet(p.Lambda)
+        _, logdet_X = np.linalg.slogdet(X)
+        return float(
+            0.5 * kappa * logdet_L
+            - 0.5 * kappa * d * np.log(2.0)
+            - multigammaln(kappa / 2.0, d)
+            - 0.5 * (p.xi + 2.0) * logdet_X
+            - 0.5 * np.trace(p.Lambda @ np.linalg.inv(X))
+        )
+    off = X - np.diag(np.diag(X))
+    if np.max(np.abs(off)) > 1e-12 * max(np.max(np.abs(X)), 1e-300):
+        raise DomainError("diag-graph density needs diagonal X")
+    x = np.diag(X)
+    if np.any(x <= 0):
+        raise DomainError("diag-graph density needs positive diagonal entries")
+    lam = np.diag(p.Lambda)
+    return float(sum(inv_chisq_log_density(p.xi, lj, xj) for lj, xj in zip(lam, x)))
 
 
 def dense_design(design) -> np.ndarray:

@@ -453,22 +453,38 @@ def test_installed_console_script(tmp_path):
     assert path.exists()
 
 
-def test_package_import_leaves_out_scipy_stats():
-    # scipy.stats alone costs about a second and 20 MB at start-up
+# scipy.stats costs about 0.5 s and 22 MB at start-up, scipy.optimize about
+# 0.3 s and 24 MB; only fit-mcmc's moment matching loads scipy.optimize
+HEAVY_SCIPY = """\
+import sys
+print(sorted(m for m in sys.modules
+             if m.split(".")[:2] in (["scipy", "stats"], ["scipy", "optimize"])))
+"""
+
+
+def run_and_list_heavy_scipy(code):
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import sys, igwvmp.cli, igwvmp.mcmc, igwvmp.tlmm; "
-            "print(sorted(m for m in sys.modules if m == 'scipy.stats' or m.startswith('scipy.stats.')))",
-        ],
+        [sys.executable, "-c", code + HEAVY_SCIPY],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_package_import_leaves_out_scipy_stats_and_optimize():
+    assert run_and_list_heavy_scipy("import igwvmp.cli, igwvmp.mcmc, igwvmp.tlmm\n") == "[]"
+
+
+def test_fit_vmp_leaves_out_scipy_optimize(small_csv, tmp_path):
+    out = tmp_path / "fit.json"
+    code = (
+        "from igwvmp.cli import main\n"
+        f"assert main(['fit-vmp', '--input', {str(small_csv)!r}, '--output', {str(out)!r}]) == 0\n"
+    )
+    assert run_and_list_heavy_scipy(code) == "[]"
 
 
 def test_module_invocation_help():

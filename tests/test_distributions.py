@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
 from scipy.integrate import IntegrationWarning, quad
-from scipy.special import gammaln, xlogy
+from scipy.special import digamma, gammaln, xlogy
 
-from oracles import NaturalMVN, mvn_from_natural, mvn_to_natural
+from oracles import NaturalMVN, igw_log_density, mvn_from_natural, mvn_to_natural, vec
 from igwvmp import distributions as dist
 from igwvmp import matops
 from igwvmp.distributions import CommonIGW, Graph, MoonRockParams, NaturalIGW
@@ -79,7 +79,7 @@ class TestNaturalMaps:
 
     def test_nonspd_implied_scale_rejected(self):
         # implied scale [[1, 2], [2, 1]] is indefinite
-        eta2 = -0.5 * matops.duplication(2).T @ matops.vec(
+        eta2 = -0.5 * matops.duplication(2).T @ vec(
             np.array([[1.0, 2.0], [2.0, 1.0]])
         )
         with pytest.raises(NonSPDScale):
@@ -140,7 +140,7 @@ class TestLogDensity:
             X = random_spd(d, rng)
             p = CommonIGW(Graph.FULL, xi, Lam)
             assert_allclose(
-                dist.igw_log_density(p, X),
+                igw_log_density(p, X),
                 stats.invwishart.logpdf(X, df=xi - d + 1, scale=Lam),
                 rtol=1e-12,
             )
@@ -152,13 +152,13 @@ class TestLogDensity:
         expected = sum(
             dist.inv_chisq_log_density(2.5, lj, xj) for lj, xj in zip(lam, x)
         )
-        assert_allclose(dist.igw_log_density(p, np.diag(x)), expected, rtol=1e-13)
+        assert_allclose(igw_log_density(p, np.diag(x)), expected, rtol=1e-13)
 
     def test_frozen_value_d1(self):
         # closed form -log Gamma(0.5) - 1 = -1.57236494292470008...
         p = CommonIGW(Graph.FULL, 1.0, np.array([[2.0]]))
         assert_allclose(
-            dist.igw_log_density(p, np.array([[1.0]])),
+            igw_log_density(p, np.array([[1.0]])),
             -1.5723649429247001,
             rtol=1e-14,
         )
@@ -166,16 +166,16 @@ class TestLogDensity:
     def test_rejects_points_outside_support(self):
         p = CommonIGW(Graph.FULL, 5.0, np.eye(2))
         with pytest.raises(DomainError):
-            dist.igw_log_density(p, np.diag([1.0, -1.0]))
+            igw_log_density(p, np.diag([1.0, -1.0]))
         pd = CommonIGW(Graph.DIAG, 1.0, np.eye(2))
         with pytest.raises(DomainError):
-            dist.igw_log_density(pd, np.array([[1.0, 0.5], [0.5, 1.0]]))
+            igw_log_density(pd, np.array([[1.0, 0.5], [0.5, 1.0]]))
 
     def test_d1_full_equals_inverse_chi_square(self):
         p = CommonIGW(Graph.FULL, 3.0, np.array([[5.0]]))
         for x in (0.2, 1.0, 4.0):
             assert_allclose(
-                dist.igw_log_density(p, np.array([[x]])),
+                igw_log_density(p, np.array([[x]])),
                 dist.inv_chisq_log_density(3.0, 5.0, x),
                 rtol=1e-13,
             )
@@ -480,6 +480,42 @@ class TestMoonRock:
             log_norm, mean, variance = self._quad_reference(alpha, beta)
         assert abs(dist.moonrock_log_normalizer(p) - log_norm) <= 1e-12 * max(1.0, abs(log_norm))
         assert_allclose(dist.moonrock_mean(p), mean, rtol=2e-10)
+        assert_allclose(dist.moonrock_variance(p), variance, rtol=1e-8)
+
+    @pytest.mark.parametrize("alpha", [0.01, 1.0, 300.0, 1.5e5])
+    def test_center_against_brentq(self, alpha):
+        # the mode solves log t - psi(t) = r with r = beta/alpha - 1. The
+        # reference is a tight root in s = log t of the same equation on the
+        # bracket [log(1/(2r)), log(1/r)], which log t - 1/t < psi(t) <
+        # log t - 1/(2t) gives. Below r = 1e-3 the equation itself cancels:
+        # log t - psi(t) ~ 1/(2t) is computed from terms of size log t
+        from scipy.optimize import brentq
+
+        for r in np.logspace(-6.0, 6.0, 97):
+            beta = alpha * (1.0 + r)
+            r = beta / alpha - 1.0
+            expected = brentq(
+                lambda s: s - digamma(np.exp(s)) - r,
+                np.log(0.5 / r) - 1e-3,
+                np.log(1.0 / r) + 1e-3,
+                xtol=1e-15,
+                rtol=4.0 * np.finfo(float).eps,
+                maxiter=500,
+            )
+            error = abs(dist._moonrock_center(alpha, beta) - expected)
+            assert error <= (1e-11 if r >= 1e-3 else 1e-8), (r, error)
+
+    @pytest.mark.parametrize("r", [1e-3, 0.27, 3.0])
+    def test_moments_at_large_alpha(self, r):
+        # alpha = n at m = 10^4 groups of 15 observations; r = 0.27 puts the
+        # mode near 2 (df 4), r = 1e-3 near 500
+        alpha = 1.5e5
+        p = MoonRockParams(alpha, alpha * (1.0 + r))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            log_norm, mean, variance = self._quad_reference(p.alpha, p.beta)
+        assert abs(dist.moonrock_log_normalizer(p) - log_norm) <= 1e-12 * max(1.0, abs(log_norm))
+        assert_allclose(dist.moonrock_mean(p), mean, rtol=1e-10)
         assert_allclose(dist.moonrock_variance(p), variance, rtol=1e-8)
 
     def test_rejects_nonpositive_points(self):

@@ -9,13 +9,21 @@ from igwvmp import fragments as fr
 from igwvmp import matops, tlmm
 from igwvmp.distributions import CommonIGW, Graph
 from igwvmp.errors import ImproperMessage, InvalidShape
-from oracles import arrowhead_vech_positions, blockdiag, dense_arrowhead, dense_design
+from oracles import (
+    arrowhead_vech_positions,
+    blockdiag,
+    dense_arrowhead,
+    dense_design,
+    duplication_pinv,
+    vec,
+    vec_inverse,
+)
 
 
 def natural_of(xi, Lam):
     d = Lam.shape[0]
     D = matops.duplication(d)
-    return np.concatenate(([-(xi + 2.0) / 2.0], -0.5 * (D.T @ matops.vec(Lam))))
+    return np.concatenate(([-(xi + 2.0) / 2.0], -0.5 * (D.T @ vec(Lam))))
 
 
 class TestPriorFragment:
@@ -195,8 +203,8 @@ class TestGaussianPenalization:
 
         # precision block: sigma_beta^{-2} I_p then m copies of E(Sigma^{-1})
         eta2 = scatter_to_vech(res.to_coefficients[k:], p, q, m)
-        Dp = matops.duplication_pinv(k)
-        P = -2.0 * matops.vec_inverse(Dp.T @ eta2, k)
+        Dp = duplication_pinv(k)
+        P = -2.0 * vec_inverse(Dp.T @ eta2, k)
         expected = blockdiag([np.eye(p) / 100.0] + [Einv] * m)
         assert_allclose(P, expected, atol=1e-13)
         assert_allclose(res.to_coefficients[:k], np.zeros(k))
@@ -209,7 +217,7 @@ class TestGaussianPenalization:
             sl = slice(p + i * q, p + (i + 1) * q)
             S += np.outer(mean[sl], mean[sl]) + cov.blocks[i]
         Dq = matops.duplication(q)
-        assert_allclose(res.to_variance.eta[1:], -0.5 * (Dq.T @ matops.vec(S)))
+        assert_allclose(res.to_variance.eta[1:], -0.5 * (Dq.T @ vec(S)))
 
     def test_dimension_check(self):
         blocks = np.broadcast_to(np.eye(2), (3, 2, 2))
@@ -243,10 +251,10 @@ class TestTLikelihood:
         )
 
     def test_residual_second_moments(self):
-        res = fr.t_likelihood_update(self.y, self.design, self.mean, self.cov, 2.0, 1.5)
-        r_direct = self.residual_second_moments()
-        assert_allclose(res.b_rates, 2 * 1.5 + 2.0 * r_direct, rtol=1e-12)
-        assert res.b_shape == 2 * 1.5 + 1.0
+        # the update's r_l = (y_l - (C mu)_l)^2 + (C Sigma C^T)_ll, read from
+        # the index-form design; b_l's rate is 2 E(upsilon) + E(1/sigma^2) r_l
+        r = (self.y - self.design.predict(self.mean)) ** 2 + self.design.row_variance(self.cov)
+        assert_allclose(r, self.residual_second_moments(), rtol=1e-12)
 
     def test_messages_match_direct_formulas(self):
         einv_noise, e_df_half = 2.0, 1.5
@@ -262,7 +270,7 @@ class TestTLikelihood:
         # whole dense message: every other entry of D_k^T vec(C^T W C) is zero
         assert_allclose(
             scatter_to_vech(res.to_coefficients[self.k :], self.p, self.q, self.m),
-            -0.5 * einv_noise * (Dk.T @ matops.vec(self.C.T @ W @ self.C)),
+            -0.5 * einv_noise * (Dk.T @ vec(self.C.T @ W @ self.C)),
             rtol=1e-12,
         )
         assert res.to_noise.graph is Graph.FULL
@@ -274,6 +282,13 @@ class TestTLikelihood:
 
     def test_gaussian_limit_weights_approach_one(self):
         # as E(upsilon) grows the scale mixture collapses and W -> I
+        # |w_l - 1| < 1e-6 bounds each entry of C^T (W - I) y and C^T (W - I) C
         res = fr.t_likelihood_update(self.y, self.design, self.mean, self.cov, 1.0, 1e8)
-        w = res.b_shape / res.b_rates
-        assert np.max(np.abs(w - 1.0)) < 1e-6
+        C, Dk = self.C, matops.duplication(self.k)
+        h = res.to_coefficients[: self.k]
+        gram = scatter_to_vech(res.to_coefficients[self.k :], self.p, self.q, self.m)
+        assert np.all(np.abs(h - C.T @ self.y) <= 1e-6 * np.abs(C).T @ np.abs(self.y))
+        assert np.all(
+            np.abs(gram + 0.5 * (Dk.T @ vec(C.T @ C)))
+            <= 0.5e-6 * (Dk.T @ vec(np.abs(C).T @ np.abs(C)))
+        )

@@ -100,16 +100,11 @@ class TestStoreDiscipline:
         with pytest.raises(DimensionMismatch):
             graph.store("prior", "noise", Message(np.array([np.nan, -1.0]), Graph.FULL))
 
-    def test_unknown_node_or_read_rejected(self):
+    def test_unknown_node_rejected(self):
         with pytest.raises(MissingMessage):
             FactorGraph(
                 nodes=[Node("a", 2, Graph.FULL)],
                 factors=[Factor("f", ("b",), lambda e: {})],
-            )
-        with pytest.raises(MissingMessage):
-            FactorGraph(
-                nodes=[Node("a", 2, Graph.FULL)],
-                factors=[Factor("f", ("a",), lambda e: {}, reads=(("g", "a"),))],
             )
 
 

@@ -4,10 +4,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 from scipy.stats import gaussian_kde, kstest, norm
 
 from igwvmp import matops, mcmc, tlmm
-from igwvmp.distributions import MoonRockParams, moonrock_mean, moonrock_sample
+from igwvmp.distributions import (
+    MoonRockParams,
+    igw_mean_inverse,
+    igw_to_natural,
+    moonrock_mean,
+    moonrock_sample,
+    moonrock_variance,
+)
 from igwvmp.errors import DimensionMismatch, DomainError, InvalidHyperparameter, NumericalFailure
 from oracles import dense_design
 
@@ -249,6 +257,61 @@ def test_df_half_conditional_sampler_mean():
     ups = np.array([mcmc.draw_df_half(rng2, np.ones(5), 5.0) for _ in range(4000)])
     se = ups.std(ddof=1) / np.sqrt(ups.size)
     assert abs(ups.mean() - moonrock_mean(params)) < 4 * se
+
+
+# ---------------------------------------------------------------------------
+# moment matching (the fit-mcmc output densities)
+# ---------------------------------------------------------------------------
+
+
+def sample_moments(draws):
+    return np.mean(draws), np.var(draws, ddof=1)
+
+
+def test_match_inv_chisq_reproduces_mean_and_variance():
+    draws = 3.0 / np.random.default_rng(2).chisquare(9.0, 4000)
+    delta, lam = mcmc.match_inv_chisq(draws)
+    mean, var = sample_moments(draws)
+    assert_allclose(lam / (delta - 2.0), mean, rtol=1e-8)
+    assert_allclose(2.0 * (lam / (delta - 2.0)) ** 2 / (delta - 4.0), var, rtol=1e-8)
+
+
+def test_match_igw_full_reproduces_mean_and_trace():
+    # E(Sigma) = Lambda/(xi - 2q) is matched whole, E(Sigma^-1) through
+    # tr(E(Sigma^-1) E(Sigma))
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((2000, 2, 3))
+    draws = np.linalg.inv(A @ np.swapaxes(A, -1, -2) + 0.5 * np.eye(2))
+    p = mcmc.match_igw_full(draws)
+    mean = draws.mean(axis=0)
+    mean_inv = np.linalg.inv(draws).mean(axis=0)
+    assert_allclose(p.Lambda / (p.xi - 4.0), mean, rtol=1e-8)
+    assert_allclose(
+        np.trace(igw_mean_inverse(igw_to_natural(p)) @ mean),
+        np.trace(mean_inv @ mean),
+        rtol=1e-8,
+    )
+
+
+def test_match_moonrock_overdispersed_gets_alpha_zero():
+    # variance above mean^2: the exponential member, matched on the mean
+    draws = np.random.default_rng(4).gamma(0.5, 3.0, 4000)
+    mean, var = sample_moments(draws)
+    assert var >= mean**2
+    p = mcmc.match_moonrock(draws)
+    assert p.alpha == 0.0
+    assert_allclose(moonrock_mean(p), mean, rtol=1e-8)
+
+
+def test_match_moonrock_reproduces_mean_and_variance():
+    # variance below mean^2: alpha and beta from the two root finds
+    draws = np.random.default_rng(5).gamma(6.0, 0.5, 4000)
+    mean, var = sample_moments(draws)
+    assert var < mean**2
+    p = mcmc.match_moonrock(draws)
+    assert p.alpha > 0.0
+    assert_allclose(moonrock_mean(p), mean, rtol=1e-8)
+    assert_allclose(moonrock_variance(p), var, rtol=1e-8)
 
 
 def test_summarize_requires_enough_draws():

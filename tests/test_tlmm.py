@@ -30,6 +30,7 @@ from oracles import (
     dense_arrowhead,
     dense_design,
     mvn_from_natural,
+    vec,
 )
 
 SMALL = dict(seed=11, n_groups=6, group_size=8)
@@ -335,7 +336,7 @@ def test_initial_message_table():
         assert msgs[(fac, node)].graph is graph
 
     # the arrowhead entries of -D_k^T vec(I_k)/2; all other entries are zero
-    full = -0.5 * matops.duplication(k).T @ matops.vec(np.eye(k))
+    full = -0.5 * matops.duplication(k).T @ vec(np.eye(k))
     positions = arrowhead_vech_positions(p, q, m)
     assert not np.any(np.delete(full, positions))
     gauss = np.concatenate((np.zeros(k), full[positions]))
