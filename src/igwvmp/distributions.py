@@ -3,7 +3,8 @@
 Covers the Inverse G-Wishart family (full and diagonal graphs) in both its
 common (shape, scale) and natural parameterizations, the Inverse Chi-Squared
 building block, and the Moon Rock family, whose sampler, quantiles,
-normalizer and moments all come from one trapezoid grid in s = log t.
+normalizer and moments all come from one trapezoid grid in s = log t; the
+Gibbs sampler's slice update of a Moon Rock draw needs no grid.
 
 Density evaluations return log values throughout; probability-scale numbers
 are only ever formed at the final reporting stage.
@@ -48,6 +49,7 @@ __all__ = [
     "moonrock_mean",
     "moonrock_log_density",
     "moonrock_sample",
+    "moonrock_slice_update",
 ]
 
 
@@ -322,33 +324,40 @@ def inv_chisq_sqrt_sd(delta: float, lam: float) -> float:
 # Moon Rock
 # ---------------------------------------------------------------------------
 
-_HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _GRID_SIZE = 2048  # nodes of the trapezoid grid in s = log t
 _GRID_LOG_DROP = 32.0  # the grid ends where the integrand is e^-32 ~ 1e-14 of its peak
-_GRID_PROBE_STEPS = np.arange(-64.0, 65.0)
+_MAX_STEPS = 64  # steps of the grid's probe on each side; Neal's m for the slice
+_GRID_PROBE_STEPS = np.arange(-_MAX_STEPS, _MAX_STEPS + 1.0)
 _GRID_PROBE_STEPS.flags.writeable = False
+_SLICE_S_LIMIT = 700.0  # beyond |s| = 700, e^s over- or underflows
+
+
+def _stirling_xlogx_minus_lgamma(t, log_t):
+    """t log t - lgamma(t) for t > 30, from t and log t (floats or arrays).
+
+    The series t + log(t)/2 - log(2 pi)/2 - 1/(12t) + 1/(360 t^3) - 1/(1260 t^5)
+    has truncation error below 1e-13 for t > 30, where the direct difference
+    cancels catastrophically.
+    """
+    r = 1.0 / t
+    return (
+        t
+        + 0.5 * log_t
+        - _HALF_LOG_2PI
+        - r * (1.0 / 12.0 - r * r * (1.0 / 360.0 - r * r / 1260.0))
+    )
 
 
 def _xlogx_minus_lgamma(t: np.ndarray) -> np.ndarray:
-    """t log t - lgamma(t), switching to a Stirling form for large t.
-
-    The direct difference cancels catastrophically once both terms are large;
-    the series t + log(t)/2 - log(2 pi)/2 - 1/(12t) + 1/(360 t^3) - 1/(1260 t^5)
-    has truncation error below 1e-13 for t > 30.
-    """
+    """t log t - lgamma(t), switching to the Stirling series for t > 30."""
     t = np.asarray(t, dtype=float)
     out = np.empty_like(t)
     small = t <= 30.0
     ts = t[small]
     out[small] = ts * np.log(ts) - gammaln(ts)
     tl = t[~small]
-    r = 1.0 / tl
-    out[~small] = (
-        tl
-        + 0.5 * np.log(tl)
-        - _HALF_LOG_2PI
-        - r * (1.0 / 12.0 - r * r * (1.0 / 360.0 - r * r / 1260.0))
-    )
+    out[~small] = _stirling_xlogx_minus_lgamma(tl, np.log(tl))
     return out
 
 
@@ -359,6 +368,21 @@ def _moonrock_log_integrand(s: np.ndarray, alpha: float, beta: float) -> np.ndar
     out = -beta * t + s
     if alpha != 0.0:
         out = out + alpha * _xlogx_minus_lgamma(t)
+    return out
+
+
+def _moonrock_log_integrand_at(s: float, alpha: float, beta: float) -> float:
+    """``_moonrock_log_integrand`` at one point, in ``math`` scalars; -inf
+    where |s| > _SLICE_S_LIMIT, so that e^s stays finite and positive."""
+    if not -_SLICE_S_LIMIT <= s <= _SLICE_S_LIMIT:
+        return -math.inf
+    t = math.exp(s)
+    out = -beta * t + s
+    if alpha != 0.0:
+        if t <= 30.0:
+            out += alpha * (t * s - math.lgamma(t))
+        else:
+            out += alpha * _stirling_xlogx_minus_lgamma(t, s)
     return out
 
 
@@ -398,6 +422,14 @@ def _moonrock_curvature(alpha: float, beta: float, s: float) -> float:
     return float(curv)
 
 
+def _moonrock_step(alpha: float, beta: float) -> tuple[float, float]:
+    """(mode in s, step): the step is 1/sqrt(curvature at the mode), capped
+    at 1. It sets the grid's probes and the slice sampler's width."""
+    center = _moonrock_center(alpha, beta)
+    curv = _moonrock_curvature(alpha, beta, center)
+    return center, 1.0 / math.sqrt(curv) if curv > 1.0 else 1.0
+
+
 def _moonrock_grid_range(alpha: float, beta: float):
     """(lo, hi) in s = log t that the grid spans.
 
@@ -407,9 +439,7 @@ def _moonrock_grid_range(alpha: float, beta: float):
     _GRID_LOG_DROP below it, which leaves a negligible tail. A side that
     never falls that far raises DivergentIntegral.
     """
-    center = _moonrock_center(alpha, beta)
-    curv = _moonrock_curvature(alpha, beta, center)
-    step = 1.0 / math.sqrt(curv) if curv > 1.0 else 1.0
+    center, step = _moonrock_step(alpha, beta)
     s = center + step * _GRID_PROBE_STEPS
     g = _moonrock_log_integrand(s, alpha, beta)
     top = int(np.argmax(g))
@@ -537,3 +567,53 @@ def moonrock_quantile(p: MoonRockParams, prob):
     g = p._grid
     out = np.exp(np.interp(prob, g.cdf, g.s))
     return float(out) if prob.ndim == 0 else out
+
+
+def moonrock_slice_update(p: MoonRockParams, t: float, rng) -> float:
+    """One slice-sampling update (Neal 2003, "Slice sampling") of a Moon Rock
+    draw from the current value t, in s = log t; it leaves the density
+    invariant and builds no grid.
+
+    The slice is where log f, the log integrand in s, exceeds
+    log f(s0) - Exp(1). An interval of the grid's step w (1/sqrt of the
+    curvature at the mode, capped at 1) is placed at random around s0. Its
+    ends step out by w while they lie in the slice, at most _MAX_STEPS - 1
+    steps in all, split at random between the sides. It is then shrunk
+    toward s0 until a uniform point in it lies in the slice. The width and
+    the random split make the interval as likely from any point of the
+    slice as from s0, which is what keeps the update exact; a width taken
+    at s0 itself would not. A t of zero density raises DomainError.
+    """
+    alpha, beta = p.alpha, p.beta
+
+    def log_f(s):
+        return _moonrock_log_integrand_at(s, alpha, beta)
+
+    s0 = math.log(t) if t > 0.0 else -math.inf
+    log_f0 = log_f(s0)
+    if not math.isfinite(log_f0):
+        raise DomainError(
+            f"Moon Rock({alpha}, {beta}) has zero density at {t}; no slice update from it"
+        )
+    level = log_f0 - rng.standard_exponential()
+    width = _moonrock_step(alpha, beta)[1]
+    # lo <= s0 <= hi also after rounding, so shrinkage can always end at s0
+    u = rng.random()
+    lo = s0 - width * u
+    hi = s0 + width * (1.0 - u)
+    left = int(_MAX_STEPS * rng.random())
+    right = _MAX_STEPS - 1 - left
+    while left > 0 and log_f(lo) > level:
+        lo -= width
+        left -= 1
+    while right > 0 and log_f(hi) > level:
+        hi += width
+        right -= 1
+    while True:
+        s1 = lo + (hi - lo) * rng.random()
+        if log_f(s1) >= level:
+            return math.exp(s1)
+        if s1 < s0:
+            lo = s1
+        else:
+            hi = s1

@@ -2,9 +2,10 @@
 
 The augmented model (scale-mixture variables b, auxiliary scale matrices A
 and a) has standard full conditionals for every block except the half
-degrees of freedom, which is drawn by inverting a grid CDF of its
-two-parameter conjugate density. The sampler serves as a simulation
-ground truth for the variational fit.
+degrees of freedom. Its conditional is a Moon Rock density, updated by one
+slice-sampling step in s = log t from the current value, which builds no
+grid. The sampler serves as a simulation ground truth for the variational
+fit.
 """
 
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ from .distributions import (
     inv_chisq_sample,
     moonrock_mean,
     moonrock_sample,
+    moonrock_slice_update,
     moonrock_variance,
 )
 from .errors import (
@@ -110,24 +112,20 @@ class ChainSummary:
 # ---------------------------------------------------------------------------
 
 
-def draw_coefficients(rng, y, design, b, sigma2, Sigma, fixed_scale):
+def draw_coefficients(rng, y, design, b, sigma2, Sigma_inv, fixed_scale):
     """(beta, u) | rest is Gaussian with precision M = C'WC/sigma2 plus the
-    prior block diagonal, W = diag(1/b), and mean M^{-1} C'Wy/sigma2; C is
-    the index-form ``design``. M is an arrowhead, factored M = L L' by
-    ``matops.arrowhead_cholesky``; with z standard normal the draw is
-    L^{-T}(L^{-1} C'Wy/sigma2 + z)."""
+    prior block diagonal (Sigma^{-1} per group), W = diag(1/b), and mean
+    M^{-1} C'Wy/sigma2; C is the index-form ``design``. M is an arrowhead,
+    factored M = L L' by ``matops.arrowhead_cholesky``; with z standard
+    normal the draw is L^{-T}(L^{-1} C'Wy/sigma2 + z)."""
     p, q, m = design.n_fixed, design.n_random, design.n_groups
     w = 1.0 / b
     cross_y, gram = design.weighted_cross(w, y)
     CtWC = matops.unfold_arrowhead(gram, p, q, m)
-    try:
-        Sig_inv = np.linalg.inv(Sigma)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("random-effects covariance draw is singular") from exc
     M = matops.Arrowhead(
         CtWC.corner / sigma2 + np.eye(p) / fixed_scale**2,
         CtWC.border / sigma2,
-        CtWC.blocks / sigma2 + 0.5 * (Sig_inv + Sig_inv.T),
+        CtWC.blocks / sigma2 + 0.5 * (Sigma_inv + Sigma_inv.T),
     )
     try:
         L = matops.arrowhead_cholesky(M)
@@ -164,23 +162,29 @@ def draw_random_cov(rng, u, A_diag):
     return draw
 
 
-def draw_cov_auxiliary(rng, Sigma, scales):
+def _inverse_cov(Sigma):
+    """Sigma^{-1} of a covariance draw, which both ``draw_cov_auxiliary`` and
+    ``draw_coefficients`` read."""
+    try:
+        return np.linalg.inv(Sigma)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure("random-effects covariance draw is singular") from exc
+
+
+def draw_cov_auxiliary(rng, Sigma_inv, scales):
     """A_jj | rest are independent inverse-chi^2; the shape q + 2 combines
     the prior's 1 with the conditional covariance level."""
     q = scales.size
-    try:
-        Sig_inv = np.linalg.inv(Sigma)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("covariance draw is singular") from exc
-    lam = np.diag(Sig_inv) + 1.0 / (HW_SHAPE * scales**2)
+    lam = np.diag(Sigma_inv) + 1.0 / (HW_SHAPE * scales**2)
     return inv_chisq_sample(q + 2.0, lam, rng, size=q)
 
 
-def draw_df_half(rng, b, df_rate):
+def draw_df_half(rng, b, df_rate, upsilon):
     """upsilon | rest follows the conjugate two-parameter density with
-    alpha = N and beta = lambda_nu + sum(log b + 1/b)."""
+    alpha = N and beta = lambda_nu + sum(log b + 1/b); one slice update from
+    the current upsilon leaves it invariant."""
     beta = df_rate + float(np.sum(np.log(b) + 1.0 / b))
-    return moonrock_sample(MoonRockParams(float(b.size), beta), rng)
+    return moonrock_slice_update(MoonRockParams(float(b.size), beta), upsilon, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +209,7 @@ def _prior_only_chain(hyper, cfg, rng):
     out_A = np.empty((cfg.kept, q))
     for it in range(cfg.warmup + cfg.kept):
         Sigma = draw_random_cov(rng, u_empty, A_diag)
-        A_diag = draw_cov_auxiliary(rng, Sigma, scales)
+        A_diag = draw_cov_auxiliary(rng, _inverse_cov(Sigma), scales)
         sigma2 = inv_chisq_sample(1.0, 1.0 / a_aux, rng)
         a_aux = draw_noise_auxiliary(rng, sigma2, hyper.noise_scale)
         if it >= cfg.warmup:
@@ -282,13 +286,14 @@ def gibbs_fit(
     for it in range(cfg.warmup + cfg.kept):
         resid = y - des.predict(theta)
         b = draw_scale_mixture(rng, resid, sigma2, upsilon)
-        upsilon = draw_df_half(rng, b, hyper.df_rate)
+        upsilon = draw_df_half(rng, b, hyper.df_rate, upsilon)
         sigma2 = draw_noise_variance(rng, resid, b, a_aux)
         a_aux = draw_noise_auxiliary(rng, sigma2, hyper.noise_scale)
         u = theta[p:].reshape(m, q)
         Sigma = draw_random_cov(rng, u, A_diag)
-        A_diag = draw_cov_auxiliary(rng, Sigma, scales)
-        theta = draw_coefficients(rng, y, des, b, sigma2, Sigma, hyper.fixed_scale)
+        Sigma_inv = _inverse_cov(Sigma)
+        A_diag = draw_cov_auxiliary(rng, Sigma_inv, scales)
+        theta = draw_coefficients(rng, y, des, b, sigma2, Sigma_inv, hyper.fixed_scale)
         if it >= cfg.warmup:
             j = it - cfg.warmup
             out_coeff[j] = theta

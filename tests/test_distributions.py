@@ -24,6 +24,11 @@ from igwvmp.errors import (
 )
 
 
+# most log-integrand evaluations of one slice update seen from a far start:
+# the start, at most 63 stepping-out steps and the shrinkage
+SLICE_EVALUATION_BOUND = 100
+
+
 def random_spd(d, rng, jitter=None):
     A = rng.standard_normal((d, d))
     return A @ A.T + (d if jitter is None else jitter) * np.eye(d)
@@ -522,3 +527,63 @@ class TestMoonRock:
         p = MoonRockParams(1.0, 2.0)
         with pytest.raises(DomainError):
             dist.moonrock_log_density(p, -1.0)
+
+    @pytest.mark.parametrize("ab", [(0.0, 1.0), (4.0, 5.0), (300.0, 301.0), (1.5e5, 1.6e5)])
+    def test_scalar_log_integrand_matches_the_vector_one(self, ab):
+        # s spans t from 1e-6 to 1e4, both sides of the Stirling switch at t = 30
+        s = np.linspace(np.log(1e-6), np.log(1e4), 401)
+        vector = dist._moonrock_log_integrand(s, *ab)
+        scalar = np.array([dist._moonrock_log_integrand_at(float(x), *ab) for x in s])
+        assert_allclose(scalar, vector, rtol=1e-12, atol=1e-12 * np.max(np.abs(vector)))
+
+    # (150, 200) has its mass near t = 1.7 and (300, 301) near t = 150, on
+    # the Stirling branch of the log integrand
+    @pytest.mark.parametrize(
+        "ab", [(0.0, 1.0), (4.0, 5.0), (300.0, 340.0), (150.0, 200.0), (300.0, 301.0)]
+    )
+    def test_slice_update_chain_matches_quantile_deciles(self, ab):
+        # every 4th draw of a chain of slice updates at fixed (alpha, beta)
+        # falls into the ten deciles of moonrock_quantile as a chi^2 test
+        # expects of independent draws
+        p = MoonRockParams(*ab)
+        rng = np.random.default_rng(7)
+        t = dist.moonrock_mean(p)
+        draws = np.empty(20_000)
+        for i in range(draws.size):
+            t = dist.moonrock_slice_update(p, t, rng)
+            draws[i] = t
+        edges = dist.moonrock_quantile(p, np.linspace(0.1, 0.9, 9))
+        counts = np.bincount(np.searchsorted(edges, draws[3::4]), minlength=10)
+        assert stats.chisquare(counts).pvalue > 1e-3
+
+    @pytest.mark.parametrize(
+        "ab",
+        [(0.0, 1.0), (4.0, 5.0), (300.0, 340.0), (1.5e5, 1.5e5 * (1.0 + 1e-6)), (0.0, 1e-8)],
+    )
+    @pytest.mark.parametrize("offset", [-30.0, 30.0])
+    def test_slice_update_from_a_far_start_is_bounded(self, ab, offset, monkeypatch):
+        # 30 units of s from the mode, every update returns a finite draw
+        # after at most 1 + 63 stepping-out evaluations and a few shrinks
+        evaluations = []
+        log_f = dist._moonrock_log_integrand_at
+
+        def counted(s, alpha, beta):
+            evaluations.append(s)
+            return log_f(s, alpha, beta)
+
+        monkeypatch.setattr(dist, "_moonrock_log_integrand_at", counted)
+        p = MoonRockParams(*ab)
+        t0 = np.exp(dist._moonrock_center(p.alpha, p.beta) + offset)
+        rng = np.random.default_rng(5)
+        most = 0
+        for _ in range(200):
+            evaluations.clear()
+            t = dist.moonrock_slice_update(p, t0, rng)
+            assert np.isfinite(t) and t > 0
+            most = max(most, len(evaluations))
+        assert most <= SLICE_EVALUATION_BOUND
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, np.inf, np.nan, 1e306, 1e-310])
+    def test_slice_update_from_zero_density_raises(self, t):
+        with pytest.raises(DomainError):
+            dist.moonrock_slice_update(MoonRockParams(4.0, 5.0), t, np.random.default_rng(0))
