@@ -6,10 +6,9 @@ statistic (log|X|, vech(X^{-1})) carrying an Inverse G-Wishart graph tag;
 diag-tagged vectors keep their off-diagonal vech entries at zero (those
 entries carry no information under the diagonal graph, and zeroing them makes
 message equality checks exact). Messages on the Gaussian coefficient node
-are (eta1, arrowhead entries of eta2), eta2 being the vech-form
--D_k^T vec(P)/2 of a precision P that is zero off the arrowhead
-(``matops.fold_arrowhead``), and messages on Moon Rock nodes the pair
-(alpha, -beta).
+are (eta1, eta2) with eta2 = ``matops.ravel_arrowhead`` of -P/2 for a
+precision P that is zero off the arrowhead, and messages on Moon Rock
+nodes the pair (alpha, -beta).
 """
 
 from typing import NamedTuple
@@ -169,7 +168,7 @@ def gaussian_penalization_update(
         np.zeros((n_groups, n_fixed, q)),
         np.broadcast_to(mean_inv_variance, (n_groups, q, q)),
     )
-    to_coefficients = np.concatenate((np.zeros(k), -0.5 * matops.fold_arrowhead(precision)))
+    to_coefficients = np.concatenate((np.zeros(k), -0.5 * matops.ravel_arrowhead(precision)))
 
     u = mean_coeffs[n_fixed:].reshape(n_groups, q)
     S = u.T @ u + cov_coeffs.blocks.sum(axis=0)

@@ -22,10 +22,9 @@ only the tests use, are in ``tests/oracles.py``.
 The Gaussian coefficient node of the mixed model has an arrowhead
 precision: p x p fixed-effect entries, m border blocks of p x q and m
 diagonal q x q blocks, with zeros elsewhere. ``Arrowhead`` holds those
-blocks; ``vech_arrowhead``, ``fold_arrowhead`` and ``unfold_arrowhead`` are
-``vech``, ``fold_vech`` and ``unfold_vech`` restricted to them; and
-``arrowhead_cholesky`` with its solves and moments works on them in O(m)
-time and memory.
+blocks; ``ravel_arrowhead`` and ``unravel_arrowhead`` map them to and from
+one flat vector; and ``arrowhead_cholesky`` with its solves and moments
+works on them in O(m) time and memory.
 """
 
 import math
@@ -45,9 +44,8 @@ __all__ = [
     "Arrowhead",
     "ArrowheadCholesky",
     "arrowhead_len",
-    "vech_arrowhead",
-    "fold_arrowhead",
-    "unfold_arrowhead",
+    "ravel_arrowhead",
+    "unravel_arrowhead",
     "arrowhead_cholesky",
     "arrowhead_forward",
     "arrowhead_backward",
@@ -238,78 +236,28 @@ class ArrowheadCholesky(NamedTuple):
 
 
 def arrowhead_len(p: int, q: int, m: int) -> int:
-    """Number of arrowhead entries in vech of the k x k matrix."""
-    return vech_len(p) + m * (p * q + vech_len(q))
+    """Number of entries in ``ravel_arrowhead`` of a k x k arrowhead."""
+    return p * p + m * (p * q + q * q)
 
 
-@lru_cache(maxsize=16)
-def _arrowhead_layout(p: int, q: int, m: int):
-    """Index maps between the raveled blocks (corner, border, blocks) and
-    the arrowhead's vech layout (vech(corner), border group by group, vech
-    of each block): each block entry's layout position, each layout
-    entry's block position, and each layout entry's fold factor (1 on the
-    diagonal, else 2) and its inverse at each block entry."""
-
-    def square(d, groups, layout_start, flat_start):
-        # a stack of d x d symmetric blocks
-        rows, cols = _vech_lower_indices(d)
-        pos = np.empty((d, d), dtype=np.intp)
-        pos[rows, cols] = pos[cols, rows] = np.arange(rows.size)
-        g = np.arange(groups)[:, None]
-        return (
-            (layout_start + rows.size * g + pos.ravel()).ravel(),
-            (flat_start + d * d * g + rows * d + cols).ravel(),
-            np.tile(rows == cols, groups),
-        )
-
-    n_border = m * p * q
-    border = np.arange(n_border)
-    parts = (
-        square(p, 1, 0, 0),
-        (vech_len(p) + border, p * p + border, np.zeros(n_border, dtype=bool)),
-        square(q, m, vech_len(p) + n_border, p * p + n_border),
-    )
-    to_layout, from_layout, diagonal = (np.concatenate(part) for part in zip(*parts))
-    fold = np.where(diagonal, 1.0, 2.0)
-    maps = (to_layout, from_layout, fold, 1.0 / fold[to_layout])
-    for a in maps:
-        a.flags.writeable = False
-    return maps
+def ravel_arrowhead(a: Arrowhead) -> np.ndarray:
+    """The arrowhead's blocks raveled and concatenated: the corner, then
+    the border (group by group, each p x q block row-major), then the
+    diagonal blocks."""
+    return np.concatenate((a.corner.ravel(), a.border.ravel(), a.blocks.ravel()))
 
 
-def vech_arrowhead(a: Arrowhead) -> np.ndarray:
-    """The arrowhead entries of vech of a symmetric k x k matrix: vech(corner),
-    then the border (group by group, each p x q block row-major), then vech
-    of each diagonal block."""
-    m, p, q = a.border.shape
-    _, from_layout, _, _ = _arrowhead_layout(p, q, m)
-    flat = np.concatenate((a.corner.ravel(), a.border.ravel(), a.blocks.ravel()))
-    return flat[from_layout]
-
-
-def fold_arrowhead(a: Arrowhead) -> np.ndarray:
-    """``fold_vech`` of a symmetric k x k matrix, restricted to its
-    arrowhead entries: ``vech_arrowhead`` with the off-diagonal entries
-    doubled."""
-    m, p, q = a.border.shape
-    _, _, fold, _ = _arrowhead_layout(p, q, m)
-    return vech_arrowhead(a) * fold
-
-
-def unfold_arrowhead(v: np.ndarray, p: int, q: int, m: int) -> Arrowhead:
-    """Inverse of ``fold_arrowhead``: ``unfold_vech`` of a vector that is
-    zero off the arrowhead, returned in blocks."""
+def unravel_arrowhead(v: np.ndarray, p: int, q: int, m: int) -> Arrowhead:
+    """Inverse of ``ravel_arrowhead``: the blocks as views of ``v``."""
     v = np.asarray(v, dtype=float)
     if v.shape != (arrowhead_len(p, q, m),):
         raise DimensionMismatch(
             f"an arrowhead with p={p}, q={q}, m={m} has {arrowhead_len(p, q, m)} "
             f"entries, got shape {v.shape}"
         )
-    to_layout, _, _, unfold = _arrowhead_layout(p, q, m)
-    out = v[to_layout] * unfold
     b = p * p + m * p * q
     return Arrowhead(
-        out[: p * p].reshape(p, p), out[p * p : b].reshape(m, p, q), out[b:].reshape(m, q, q)
+        v[: p * p].reshape(p, p), v[p * p : b].reshape(m, p, q), v[b:].reshape(m, q, q)
     )
 
 

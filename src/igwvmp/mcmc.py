@@ -74,6 +74,8 @@ class GibbsConfig:
     def __post_init__(self):
         if self.warmup < 0 or self.kept < 1:
             raise InvalidHyperparameter("need warmup >= 0 and kept >= 1")
+        if self.seed < 0:
+            raise InvalidHyperparameter(f"the seed must be non-negative, got {self.seed}")
 
 
 class ChainOutput(NamedTuple):
@@ -121,7 +123,7 @@ def draw_coefficients(rng, y, design, b, sigma2, Sigma_inv, fixed_scale):
     p, q, m = design.n_fixed, design.n_random, design.n_groups
     w = 1.0 / b
     cross_y, gram = design.weighted_cross(w, y)
-    CtWC = matops.unfold_arrowhead(gram, p, q, m)
+    CtWC = matops.unravel_arrowhead(gram, p, q, m)
     M = matops.Arrowhead(
         CtWC.corner / sigma2 + np.eye(p) / fixed_scale**2,
         CtWC.border / sigma2,

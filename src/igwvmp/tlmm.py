@@ -165,12 +165,11 @@ class DesignInfo:
     in the p fixed-effect columns, Z[l] in the q columns of group[l]'s
     random effects and zeros elsewhere.
 
-    C itself is never formed. Products with it gather per row, and sums
-    over its rows (C^T W C and C^T W y) are one ``np.bincount`` of per-row
-    entries fixed at construction: fold_vech(x x^T), 2 x z^T and
-    fold_vech(z z^T), whose bins are their positions in
-    ``matops.fold_arrowhead``'s layout, then x and z, whose bins follow
-    those at their coefficients' positions.
+    C itself is never formed. Products with it gather per row. Sums over
+    its rows are ``np.bincount``s of per-row entries fixed at construction:
+    C^T W C of x x^T, x z^T and z z^T, raveled, whose bins are their
+    positions in ``matops.ravel_arrowhead``, and C^T W y of x and z, whose
+    bins are their coefficients' positions.
     """
 
     X: np.ndarray
@@ -196,29 +195,26 @@ class DesignInfo:
         p, q = X.shape[1], Z.shape[1]
         quad = np.concatenate(
             (
-                matops.fold_vech(X[:, :, None] * X[:, None, :]),
-                2.0 * (X[:, :, None] * Z[:, None, :]).reshape(n, p * q),
-                matops.fold_vech(Z[:, :, None] * Z[:, None, :]),
+                (X[:, :, None] * X[:, None, :]).reshape(n, p * p),
+                (X[:, :, None] * Z[:, None, :]).reshape(n, p * q),
+                (Z[:, :, None] * Z[:, None, :]).reshape(n, q * q),
             ),
             axis=1,
         )
         # a row's entries sit in the corner (shared by all groups) and in
         # its own group's border, block and coefficients
-        corner, border, block = matops.vech_len(p), p * q, matops.vech_len(q)
-        quad_bins = np.concatenate(
+        at = matops.unravel_arrowhead(np.arange(matops.arrowhead_len(p, q, m)), p, q, m)
+        bins = np.concatenate(
             (
-                np.broadcast_to(np.arange(corner), (n, corner)),
-                corner + group[:, None] * border + np.arange(border),
-                corner + m * border + group[:, None] * block + np.arange(block),
+                np.broadcast_to(at.corner.ravel(), (n, p * p)),
+                at.border[group].reshape(n, p * q),
+                at.blocks[group].reshape(n, q * q),
             ),
             axis=1,
-        )
+        ).astype(np.intp)
         columns = np.concatenate(
             (np.broadcast_to(np.arange(p), (n, p)), p + group[:, None] * q + np.arange(q)),
             axis=1,
-        )
-        bins = np.concatenate(
-            (quad_bins.ravel(), matops.arrowhead_len(p, q, m) + columns.ravel())
         )
         fields = {
             "X": X,
@@ -251,20 +247,22 @@ class DesignInfo:
 
     def row_variance(self, cov: matops.Arrowhead) -> np.ndarray:
         """diag(C S C^T) for a symmetric S given by its arrowhead blocks."""
-        quad_bins = self._bins[: self._quad.size].reshape(self._quad.shape)
-        return np.einsum("le,le->l", self._quad, matops.vech_arrowhead(cov).take(quad_bins))
+        # each border entry stands for itself and its transposed copy
+        flat = matops.ravel_arrowhead(cov._replace(border=2.0 * cov.border))
+        return np.einsum("le,le->l", self._quad, flat.take(self._bins))
 
     def weighted_cross(self, w: np.ndarray, y: np.ndarray):
-        """(C^T W y, fold_arrowhead(C^T W C)) for W = diag(w)."""
-        weighted = np.empty(self._bins.size)
-        split = self._quad.size
-        np.multiply(self._quad, w[:, None], out=weighted[:split].reshape(self._quad.shape))
-        np.multiply(
-            self._values, (w * y)[:, None], out=weighted[split:].reshape(self._values.shape)
-        )
+        """(C^T W y, ``matops.ravel_arrowhead`` of C^T W C) for W = diag(w)."""
         arrow = matops.arrowhead_len(self.n_fixed, self.n_random, self.n_groups)
-        sums = np.bincount(self._bins, weighted, minlength=arrow + self.n_coefficients)
-        return sums[arrow:], sums[:arrow]
+        gram = np.bincount(
+            self._bins.ravel(), (self._quad * w[:, None]).ravel(), minlength=arrow
+        )
+        cross_y = np.bincount(
+            self._columns.ravel(),
+            (self._values * (w * y)[:, None]).ravel(),
+            minlength=self.n_coefficients,
+        )
+        return cross_y, gram
 
 
 class TLMMTruth(NamedTuple):
@@ -330,6 +328,8 @@ def simulate(
     ``random_cov``, and noise is sigma times a standard t with ``df`` degrees
     of freedom. Returns (data, truth).
     """
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise InvalidHyperparameter(f"the seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     beta = np.asarray(beta, dtype=float)
     Sigma = np.atleast_2d(np.asarray(random_cov, dtype=float))
@@ -375,8 +375,8 @@ def extract_gaussian(
     eta: np.ndarray, n_fixed: int, n_random: int, n_groups: int, dense: bool = False
 ):
     """Mean and covariance of the coefficients' Gaussian from its natural
-    vector: eta1 = P mu, then the arrowhead entries of eta2 = -D_k^T vec(P)/2
-    (``matops.fold_arrowhead``), every other entry of eta2 being zero.
+    vector: eta1 = P mu, then eta2 = ``matops.ravel_arrowhead`` of -P/2 for
+    a precision P that is zero off the arrowhead.
 
     The covariance comes back as ``matops.Arrowhead`` blocks, or as the
     k x k matrix with ``dense``; both come from one block Cholesky factor
@@ -388,7 +388,7 @@ def extract_gaussian(
     p, q, m = n_fixed, n_random, n_groups
     k = p + m * q
     eta = np.asarray(eta, dtype=float)
-    P = matops.unfold_arrowhead(-2.0 * eta[k:], p, q, m)
+    P = matops.unravel_arrowhead(-2.0 * eta[k:], p, q, m)
     diagonal = np.concatenate((P.corner.diagonal(), P.blocks.diagonal(axis1=1, axis2=2).ravel()))
     threshold = matops.spd_threshold(diagonal)
     try:
@@ -554,7 +554,7 @@ def initial_messages(hyper: TLMMHyper, n_fixed: int, n_random: int, n_groups: in
     identity = matops.Arrowhead(
         np.eye(p), np.zeros((m, p, q)), np.broadcast_to(np.eye(q), (m, q, q))
     )
-    gauss_init = np.concatenate((np.zeros(k), -0.5 * matops.fold_arrowhead(identity)))
+    gauss_init = np.concatenate((np.zeros(k), -0.5 * matops.ravel_arrowhead(identity)))
     cov_msg = fr.igw_prior_update(plan_cov.prior_factor)
     noise_msg = fr.igw_prior_update(plan_noise.prior_factor)
     scalar_init = np.array([-2.0, -1.0])
@@ -627,18 +627,13 @@ def build_graph(data: TLMMData, hyper: TLMMHyper, design="slope") -> FactorGraph
         Node("df_half", 2),
     ]
 
-    cov_prior_msg = fr.igw_prior_update(plan_cov.prior_factor)
-    noise_prior_msg = fr.igw_prior_update(plan_noise.prior_factor)
-    df_prior_eta = fr.moonrock_prior_update(0.0, hyper.df_rate)
+    inits = initial_messages(hyper, p, q, m)
+    _assert_initial_proper(inits, p, q, m)
 
-    def cov_aux_prior_update(g):
-        return {"cov_aux": Message(cov_prior_msg.eta, cov_prior_msg.graph)}
-
-    def noise_aux_prior_update(g):
-        return {"noise_aux": Message(noise_prior_msg.eta, noise_prior_msg.graph)}
-
-    def df_prior_update(g):
-        return {"df_half": Message(df_prior_eta)}
+    def constant(factor, node):
+        # a prior factor emits its start message on every sweep
+        message = inits[(factor, node)]
+        return lambda g: {node: message}
 
     def iterated_update(g, name, variance_node, aux_node, plan):
         res = fr.iterated_igw_update(
@@ -704,18 +699,16 @@ def build_graph(data: TLMMData, hyper: TLMMHyper, design="slope") -> FactorGraph
     # t-likelihood update (composite): likelihood reads q*(df_half), and
     # scale_mix reads q*(coefficients) and q*(noise).
     factors = [
-        Factor("cov_aux_prior", ("cov_aux",), cov_aux_prior_update),
-        Factor("noise_aux_prior", ("noise_aux",), noise_aux_prior_update),
+        Factor("cov_aux_prior", ("cov_aux",), constant("cov_aux_prior", "cov_aux")),
+        Factor("noise_aux_prior", ("noise_aux",), constant("noise_aux_prior", "noise_aux")),
         Factor("cov_conditional", ("cov", "cov_aux"), cov_conditional_update),
         Factor("noise_conditional", ("noise", "noise_aux"), noise_conditional_update),
         Factor("coefficient_prior", ("coefficients", "cov"), coefficient_prior_update),
         Factor("likelihood", ("coefficients", "noise"), likelihood_update),
         Factor("scale_mix", ("df_half",), scale_mix_update),
-        Factor("df_prior", ("df_half",), df_prior_update),
+        Factor("df_prior", ("df_half",), constant("df_prior", "df_half")),
     ]
     graph = FactorGraph(nodes, factors)
-    inits = initial_messages(hyper, p, q, m)
-    _assert_initial_proper(inits, p, q, m)
     for (fac, node), msg in inits.items():
         graph.store(fac, node, msg)
     return graph

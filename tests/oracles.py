@@ -126,28 +126,6 @@ def dense_arrowhead(a: matops.Arrowhead) -> np.ndarray:
     return out
 
 
-def _vech_order(d: int):
-    """(rows, cols) of the lower triangle in vech order, column by column."""
-    rows, cols = np.tril_indices(d)
-    order = np.lexsort((rows, cols))
-    return rows[order], cols[order]
-
-
-def arrowhead_vech_positions(p: int, q: int, m: int) -> np.ndarray:
-    """For each entry of ``matops.fold_arrowhead``'s layout, its position in
-    vech of the k x k matrix."""
-    k = p + m * q
-    rows, cols = _vech_order(k)
-    pos = np.zeros((k, k), dtype=int)
-    pos[rows, cols] = pos[cols, rows] = np.arange(rows.size)
-    r, c = _vech_order(p)
-    parts = [pos[r, c]]
-    parts += [pos[:p, p + i * q : p + (i + 1) * q].ravel() for i in range(m)]
-    r, c = _vech_order(q)
-    parts += [pos[p + i * q + r, p + i * q + c] for i in range(m)]
-    return np.concatenate(parts)
-
-
 # Gaussian natural parameters in the full vech form: for x ~ N(mu, Sigma),
 # eta1 = Sigma^{-1} mu and eta2 = -D_k^T vec(Sigma^{-1})/2.
 

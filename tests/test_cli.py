@@ -223,6 +223,19 @@ def test_fit_vmp_not_converged(small_csv, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command, seed", [("simulate", "-1"), ("fit-mcmc", "-3"), ("compare", "-1")])
+def test_negative_seed_is_an_input_error(command, seed, small_csv, tmp_path, capsys):
+    # rejected with a typed error before any fit runs or any file is written
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [command, "--output", str(out / "result"), "--seed", seed]
+    if command != "simulate":
+        argv += ["--input", str(small_csv)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(out.iterdir()) == []
+
+
 def test_fit_vmp_numerical_failure_exit_code(tmp_path, capsys):
     # noise-free responses drive the coefficient precision non-SPD; the
     # typed NonSPDPrecision must map to exit code 3, not a traceback

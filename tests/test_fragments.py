@@ -9,15 +9,7 @@ from igwvmp import fragments as fr
 from igwvmp import matops, tlmm
 from igwvmp.distributions import CommonIGW, Graph
 from igwvmp.errors import ImproperMessage, InvalidShape
-from oracles import (
-    arrowhead_vech_positions,
-    blockdiag,
-    dense_arrowhead,
-    dense_design,
-    duplication_pinv,
-    vec,
-    vec_inverse,
-)
+from oracles import blockdiag, dense_arrowhead, dense_design, vec
 
 
 def natural_of(xi, Lam):
@@ -183,12 +175,9 @@ def random_arrowhead(rng, p, q, m):
     return matops.Arrowhead(full[:p, :p], border, blocks)
 
 
-def scatter_to_vech(arrow, p, q, m):
-    """The full vech-form vector whose arrowhead entries are ``arrow``."""
-    k = p + m * q
-    out = np.zeros(matops.vech_len(k))
-    out[arrowhead_vech_positions(p, q, m)] = arrow
-    return out
+def dense_from_ravel(arrow, p, q, m):
+    """The symmetric k x k matrix whose raveled arrowhead blocks are ``arrow``."""
+    return dense_arrowhead(matops.unravel_arrowhead(arrow, p, q, m))
 
 
 class TestGaussianPenalization:
@@ -202,9 +191,7 @@ class TestGaussianPenalization:
         res = fr.gaussian_penalization_update(mean, cov, p, m, 10.0, Einv)
 
         # precision block: sigma_beta^{-2} I_p then m copies of E(Sigma^{-1})
-        eta2 = scatter_to_vech(res.to_coefficients[k:], p, q, m)
-        Dp = duplication_pinv(k)
-        P = -2.0 * vec_inverse(Dp.T @ eta2, k)
+        P = -2.0 * dense_from_ravel(res.to_coefficients[k:], p, q, m)
         expected = blockdiag([np.eye(p) / 100.0] + [Einv] * m)
         assert_allclose(P, expected, atol=1e-13)
         assert_allclose(res.to_coefficients[:k], np.zeros(k))
@@ -264,13 +251,12 @@ class TestTLikelihood:
         r = self.residual_second_moments()
         w = (2 * e_df_half + 1.0) / (2 * e_df_half + einv_noise * r)
         W = np.diag(w)
-        Dk = matops.duplication(self.k)
         assert_allclose(res.to_coefficients[: self.k], einv_noise * self.C.T @ W @ self.y)
-        # scattered into their vech positions, the arrowhead entries are the
-        # whole dense message: every other entry of D_k^T vec(C^T W C) is zero
+        # the arrowhead blocks are the whole dense message: every entry of
+        # C^T W C off the arrowhead is zero
         assert_allclose(
-            scatter_to_vech(res.to_coefficients[self.k :], self.p, self.q, self.m),
-            -0.5 * einv_noise * (Dk.T @ vec(self.C.T @ W @ self.C)),
+            dense_from_ravel(res.to_coefficients[self.k :], self.p, self.q, self.m),
+            -0.5 * einv_noise * (self.C.T @ W @ self.C),
             rtol=1e-12,
         )
         assert res.to_noise.graph is Graph.FULL
@@ -284,11 +270,8 @@ class TestTLikelihood:
         # as E(upsilon) grows the scale mixture collapses and W -> I
         # |w_l - 1| < 1e-6 bounds each entry of C^T (W - I) y and C^T (W - I) C
         res = fr.t_likelihood_update(self.y, self.design, self.mean, self.cov, 1.0, 1e8)
-        C, Dk = self.C, matops.duplication(self.k)
+        C = self.C
         h = res.to_coefficients[: self.k]
-        gram = scatter_to_vech(res.to_coefficients[self.k :], self.p, self.q, self.m)
+        gram = dense_from_ravel(res.to_coefficients[self.k :], self.p, self.q, self.m)
         assert np.all(np.abs(h - C.T @ self.y) <= 1e-6 * np.abs(C).T @ np.abs(self.y))
-        assert np.all(
-            np.abs(gram + 0.5 * (Dk.T @ vec(C.T @ C)))
-            <= 0.5e-6 * (Dk.T @ vec(np.abs(C).T @ np.abs(C)))
-        )
+        assert np.all(np.abs(gram + 0.5 * (C.T @ C)) <= 0.5e-6 * (np.abs(C).T @ np.abs(C)))

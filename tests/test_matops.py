@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 from igwvmp import matops
 from igwvmp.errors import AsymmetricInput, DimensionMismatch
 from oracles import (
-    arrowhead_vech_positions,
     blockdiag,
     dense_arrowhead,
     duplication_pinv,
@@ -270,14 +269,21 @@ def test_arrowhead_cholesky_shift_and_non_finite_input():
 
 
 @pytest.mark.parametrize("p, q, m", [(1, 1, 1), (2, 2, 3), (2, 3, 2), (1, 2, 4)])
-def test_arrowhead_layout_is_the_vech_layout_restricted(p, q, m):
+def test_ravel_arrowhead_round_trip(p, q, m):
     a = _random_arrowhead(np.random.default_rng(p + q + m), p, q, m)
     full = dense_arrowhead(a)
-    positions = arrowhead_vech_positions(p, q, m)
-    assert positions.size == matops.arrowhead_len(p, q, m)
-    assert not np.any(np.delete(matops.vech(full), positions))
-    assert_array_equal(matops.vech_arrowhead(a), matops.vech(full)[positions])
-    assert_array_equal(matops.fold_arrowhead(a), matops.fold_vech(full)[positions])
-    back = matops.unfold_arrowhead(matops.fold_arrowhead(a), p, q, m)
-    for got, want in zip(back, a):
-        assert_array_equal(got, want)
+    groups = [slice(p + i * q, p + (i + 1) * q) for i in range(m)]
+    want = np.concatenate(
+        [full[:p, :p].ravel()]
+        + [full[:p, g].ravel() for g in groups]
+        + [full[g, g].ravel() for g in groups]
+    )
+    flat = matops.ravel_arrowhead(a)
+    assert flat.size == matops.arrowhead_len(p, q, m)
+    assert_array_equal(flat, want)
+    back = matops.unravel_arrowhead(flat, p, q, m)
+    assert_array_equal(dense_arrowhead(back), full)
+    for got, block in zip(back, a):
+        assert_array_equal(got, block)
+    with pytest.raises(DimensionMismatch):
+        matops.unravel_arrowhead(flat[:-1], p, q, m)

@@ -26,11 +26,9 @@ from igwvmp.graph_engine import FactorGraph
 from igwvmp.prior_specs import HalfCauchySpec, HuangWandSpec, plan_prior
 from oracles import (
     NaturalMVN,
-    arrowhead_vech_positions,
     dense_arrowhead,
     dense_design,
     mvn_from_natural,
-    vec,
 )
 
 SMALL = dict(seed=11, n_groups=6, group_size=8)
@@ -164,7 +162,7 @@ def _random_spd_arrowhead(rng, p, q, m, floor=1.0):
     # the precision of a random design plus floor times the identity
     des = _random_design(rng, p, q, m)
     _, gram = des.weighted_cross(rng.uniform(0.5, 2.0, des.group.size), np.zeros(des.group.size))
-    a = matops.unfold_arrowhead(gram, p, q, m)
+    a = matops.unravel_arrowhead(gram, p, q, m)
     return a._replace(corner=a.corner + floor * np.eye(p), blocks=a.blocks + floor * np.eye(q))
 
 
@@ -189,11 +187,14 @@ def test_index_design_products_match_dense_design(seed, p, q, m):
     w, y = rng.uniform(0.1, 3.0, C.shape[0]), rng.standard_normal(C.shape[0])
     cross_y, gram = des.weighted_cross(w, y)
     assert_allclose(cross_y, C.T @ (w * y), rtol=1e-12, atol=1e-12)
-    full = matops.fold_vech(C.T @ (w[:, None] * C))
-    positions = arrowhead_vech_positions(p, q, m)
-    assert_allclose(gram, full[positions], rtol=1e-12, atol=1e-12)
     # every entry off the arrowhead is zero: each row touches one group
-    assert not np.any(np.delete(full, positions))
+    assert gram.shape == (matops.arrowhead_len(p, q, m),)
+    assert_allclose(
+        dense_arrowhead(matops.unravel_arrowhead(gram, p, q, m)),
+        C.T @ (w[:, None] * C),
+        rtol=1e-12,
+        atol=1e-12,
+    )
 
 
 def _natural_pair(rng, p, q, m, shift):
@@ -206,7 +207,7 @@ def _natural_pair(rng, p, q, m, shift):
     a = a._replace(corner=a.corner + delta * np.eye(p), blocks=a.blocks + delta * np.eye(q))
     P = dense_arrowhead(a)
     h = rng.standard_normal(P.shape[0])
-    arrow = np.concatenate((h, -0.5 * matops.fold_arrowhead(a)))
+    arrow = np.concatenate((h, -0.5 * matops.ravel_arrowhead(a)))
     dense = np.concatenate((h, -0.5 * matops.fold_vech(P)))
     return arrow, dense, P
 
@@ -253,7 +254,7 @@ def test_extract_gaussian_applies_the_spd_threshold(factor, spd):
     a.blocks[1, 1, 1] = 0.0
     top = max(np.max(np.diag(a.corner)), np.max(np.diagonal(a.blocks, axis1=1, axis2=2)))
     a.blocks[1, 1, 1] = factor * 1e-12 * top
-    eta = np.concatenate((np.ones(p + m * q), -0.5 * matops.fold_arrowhead(a)))
+    eta = np.concatenate((np.ones(p + m * q), -0.5 * matops.ravel_arrowhead(a)))
     assert matops.is_spd(dense_arrowhead(a)) is spd
     if spd:
         mu, _ = tlmm.extract_gaussian(eta, p, q, m)
@@ -335,13 +336,13 @@ def test_initial_message_table():
         assert np.array_equal(msgs[(fac, node)].eta, [-2.0, -1.0])
         assert msgs[(fac, node)].graph is graph
 
-    # the arrowhead entries of -D_k^T vec(I_k)/2; all other entries are zero
-    full = -0.5 * matops.duplication(k).T @ vec(np.eye(k))
-    positions = arrowhead_vech_positions(p, q, m)
-    assert not np.any(np.delete(full, positions))
-    gauss = np.concatenate((np.zeros(k), full[positions]))
-    assert np.array_equal(msgs[("coefficient_prior", "coefficients")].eta, gauss)
-    assert np.array_equal(msgs[("likelihood", "coefficients")].eta, gauss)
+    # (P mu, the raveled arrowhead blocks of -P/2) for mu = 0 and P = I_k
+    for fac in ("coefficient_prior", "likelihood"):
+        eta = msgs[(fac, "coefficients")].eta
+        assert eta.shape == (k + matops.arrowhead_len(p, q, m),)
+        assert np.array_equal(eta[:k], np.zeros(k))
+        precision = dense_arrowhead(matops.unravel_arrowhead(-2.0 * eta[k:], p, q, m))
+        assert np.array_equal(precision, np.eye(k)), fac
 
     assert np.array_equal(msgs[("scale_mix", "df_half")].eta, [1.0, -1.1])
     assert np.array_equal(msgs[("df_prior", "df_half")].eta, [0.0, -hyper.df_rate])
@@ -351,6 +352,23 @@ def test_initial_message_table():
     assert msgs[("cov_aux_prior", "cov_aux")].graph is Graph.DIAG
     hc = fr.igw_prior_update(plan_prior(HalfCauchySpec(scale=hyper.noise_scale)).prior_factor)
     assert np.array_equal(msgs[("noise_aux_prior", "noise_aux")].eta, hc.eta)
+
+
+def test_prior_factors_emit_their_start_messages(small_data):
+    # the three constant factors send, every sweep, the start message stored
+    data, _ = small_data
+    hyper = tlmm.TLMMHyper()
+    graph = tlmm.build_graph(data, hyper)
+    start = tlmm.initial_messages(hyper, 2, 2, data.n_groups)
+    for fac, node in [
+        ("cov_aux_prior", "cov_aux"),
+        ("noise_aux_prior", "noise_aux"),
+        ("df_prior", "df_half"),
+    ]:
+        sent = graph.factors[fac].update(graph)
+        assert list(sent) == [node]
+        assert np.array_equal(sent[node].eta, start[(fac, node)].eta)
+        assert sent[node].graph is start[(fac, node)].graph
 
 
 def test_initial_messages_all_proper():
