@@ -4,7 +4,8 @@ Four subcommands cover the example workflow end to end: ``simulate`` writes
 a CSV data set, ``fit-vmp`` and ``fit-mcmc`` write posterior JSON files, and
 ``compare`` runs both fits and writes a side-by-side report with density
 grids for external plotting. Exit codes: 0 success, 2 input or validation
-error, 3 non-convergence or numerical failure.
+error, 3 for a ``NumericalFailure`` (non-convergence included), which is what
+any failure of a fit on valid input raises.
 """
 
 import argparse
@@ -26,10 +27,10 @@ from .distributions import (
 )
 from .errors import (
     DimensionMismatch,
-    DomainError,
     IGWVMPError,
     InvalidHyperparameter,
     NotConverged,
+    NumericalFailure,
 )
 
 __all__ = ["main", "build_parser", "read_data_csv", "write_data_csv", "density_accuracy"]
@@ -440,12 +441,11 @@ def cmd_compare(args):
 
 
 def _exit_code(exc) -> int:
-    """2 for input and validation errors, 3 for every other package error."""
+    """A CommandError's own code, 3 for a numerical failure and 2 for every
+    other error, which rejects input or usage."""
     if isinstance(exc, CommandError):
         return exc.code
-    if isinstance(exc, (InvalidHyperparameter, DimensionMismatch, DomainError, OSError)):
-        return 2
-    return 3
+    return 3 if isinstance(exc, NumericalFailure) else 2
 
 
 def main(argv=None) -> int:

@@ -306,7 +306,7 @@ def inv_chisq_mean_log(delta, lam):
 def inv_chisq_sqrt_mean(delta: float, lam: float) -> float:
     """E(sqrt(x)) = sqrt(lambda/2) Gamma((delta-1)/2) / Gamma(delta/2); needs delta > 1."""
     if delta <= 1:
-        raise DomainError("E(sigma) needs delta > 1")
+        raise DivergentIntegral("E(sigma) needs delta > 1")
     return float(
         np.exp(0.5 * np.log(lam / 2.0) + gammaln((delta - 1.0) / 2.0) - gammaln(delta / 2.0))
     )
@@ -315,7 +315,7 @@ def inv_chisq_sqrt_mean(delta: float, lam: float) -> float:
 def inv_chisq_sqrt_sd(delta: float, lam: float) -> float:
     """sd(sqrt(x)) from E(x) = lambda/(delta-2) and E(sqrt(x)); needs delta > 2."""
     if delta <= 2:
-        raise DomainError("sd(sigma) needs delta > 2")
+        raise DivergentIntegral("sd(sigma) needs delta > 2")
     second = lam / (delta - 2.0)
     return float(np.sqrt(max(second - inv_chisq_sqrt_mean(delta, lam) ** 2, 0.0)))
 
@@ -521,9 +521,15 @@ class MoonRockParams:
 
     @classmethod
     def from_vector(cls, eta: np.ndarray) -> "MoonRockParams":
-        """Natural vector (alpha, -beta) to parameters."""
-        eta = np.asarray(eta, dtype=float)
-        return cls(float(eta[0]), -float(eta[1]))
+        """Natural vector (alpha, -beta) to parameters. A vector outside
+        alpha >= 0, beta > 0 is an ImproperMessage: it comes from messages,
+        not from a caller's hyperparameters."""
+        alpha, beta = float(eta[0]), -float(eta[1])
+        if not (alpha >= 0 and beta > 0):
+            raise ImproperMessage(
+                f"Moon Rock naturals ({alpha}, {-beta}) need alpha >= 0 and beta > 0"
+            )
+        return cls(alpha, beta)
 
     def to_vector(self) -> np.ndarray:
         return np.array([self.alpha, -self.beta])

@@ -14,12 +14,14 @@ methods for accelerating the convergence of any EM algorithm", Scand. J.
 Stat.). A cycle takes two plain sweeps x0 -> x1 -> x2, sets r = x1 - x0,
 v = x2 - 2 x1 + x0 and the step alpha = -|r|/|v| (at most -1), loads
 x0 - 2 alpha r + alpha^2 v and runs one stabilizing sweep from it. An
-extrapolated vector that is non-finite, or whose stabilizing sweep raises
-one of ``_REJECTED``, is dropped: x2 is reloaded and alpha halved toward -1.
+extrapolated vector that is non-finite, or whose stabilizing sweep raises a
+``NumericalFailure``, is dropped: x2 is reloaded and alpha halved toward -1.
 Once alpha is within ``_PLAIN_STEP`` of -1, where the extrapolation is x2
 itself, the cycle ends with a plain sweep from x2 instead. Errors raised by
-a plain sweep propagate. Convergence is judged on every completed sweep,
-plain or stabilizing, by the same rule.
+a plain sweep propagate, and so does any other error of a stabilizing sweep:
+a wrong length or tag (``DimensionMismatch``, ``GraphTagMismatch``) or a
+missing message is a wiring fault, not a bad step. Convergence is judged on
+every completed sweep, plain or stabilizing, by the same rule.
 """
 
 import logging
@@ -31,23 +33,17 @@ import numpy as np
 from .distributions import Graph
 from .errors import (
     DimensionMismatch,
-    DivergentIntegral,
-    DomainError,
     GraphTagMismatch,
     ImproperMessage,
     InvalidHyperparameter,
-    InvalidShape,
     MissingMessage,
-    NonSPDPrecision,
-    NonSPDScale,
+    NumericalFailure,
 )
 
 __all__ = ["Node", "Factor", "Message", "ConvergenceReport", "FactorGraph"]
 
 logger = logging.getLogger(__name__)
 
-# numerical failures that reject an extrapolated state instead of ending the run
-_REJECTED = (ImproperMessage, NonSPDPrecision, NonSPDScale, InvalidShape, DomainError, DivergentIntegral)
 # a step alpha within this distance of -1 is not extrapolated; the cycle's
 # third sweep is then a plain sweep from x2
 _PLAIN_STEP = 0.5
@@ -121,7 +117,8 @@ class FactorGraph:
         }
 
     def store(self, factor: str, node: str, message: Message):
-        """Record a factor-to-node message, enforcing length and tag."""
+        """Record a factor-to-node message, enforcing length and tag
+        (wiring errors) and finite entries (``ImproperMessage``)."""
         spec = self.nodes[node]
         if message.eta.size != spec.length:
             raise DimensionMismatch(
@@ -134,7 +131,7 @@ class FactorGraph:
                 f"node is tagged {spec.tag}"
             )
         if not np.all(np.isfinite(message.eta)):
-            raise DimensionMismatch(
+            raise ImproperMessage(
                 f"message ({factor} -> {node}) contains non-finite entries"
             )
         self._store[(factor, node)] = message
@@ -245,7 +242,7 @@ class FactorGraph:
                     self.load_state(x)
                     try:
                         x2, change = self._sweep_from(x, schedule)
-                    except _REJECTED:
+                    except NumericalFailure:
                         self.load_state(x2)
                         yield None
                     else:

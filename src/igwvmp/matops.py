@@ -16,8 +16,8 @@ vec^{-1}(D_d^{+T} eta), are pure index arithmetic on the vech positions
 while fitting. The package does not call ``duplication`` either: it stays
 here because the benchmark harness (``perfbench/spans.py``) wraps
 ``matops.duplication`` to report how many duplication megabytes a fit
-computes. ``vec``, its inverse and the Moore-Penrose inverse of D_d, which
-only the tests use, are in ``tests/oracles.py``.
+computes. ``vech`` itself, ``vec``, its inverse and the Moore-Penrose
+inverse of D_d, which only the tests use, are in ``tests/oracles.py``.
 
 The Gaussian coefficient node of the mixed model has an arrowhead
 precision: p x p fixed-effect entries, m border blocks of p x q and m
@@ -33,10 +33,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AsymmetricInput, DimensionMismatch
+from .errors import DimensionMismatch
 
 __all__ = [
-    "vech",
     "unvech",
     "fold_vech",
     "unfold_vech",
@@ -81,24 +80,6 @@ def _vech_lower_indices(d: int):
     rows.flags.writeable = False
     cols.flags.writeable = False
     return rows, cols
-
-
-def vech(M: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
-    """Half-vectorization of a symmetric matrix.
-
-    The input must be symmetric to relative tolerance ``rel_tol``; it is
-    symmetrized internally after the check so that downstream consumers see
-    exact symmetry.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionMismatch(f"vech expects a square matrix, got shape {M.shape}")
-    scale = np.max(np.abs(M))
-    if scale > 0 and np.max(np.abs(M - M.T)) > rel_tol * scale:
-        raise AsymmetricInput("matrix is not symmetric within tolerance")
-    M = 0.5 * (M + M.T)
-    rows, cols = _vech_lower_indices(M.shape[0])
-    return M[rows, cols].copy()
 
 
 def unvech(v: np.ndarray) -> np.ndarray:

@@ -22,7 +22,6 @@ from .distributions import (
     igw_sample,
     inv_chisq_sample,
     moonrock_mean,
-    moonrock_sample,
     moonrock_slice_update,
     moonrock_variance,
 )
@@ -184,8 +183,11 @@ def draw_cov_auxiliary(rng, Sigma_inv, scales):
 def draw_df_half(rng, b, df_rate, upsilon):
     """upsilon | rest follows the conjugate two-parameter density with
     alpha = N and beta = lambda_nu + sum(log b + 1/b); one slice update from
-    the current upsilon leaves it invariant."""
+    the current upsilon leaves it invariant. Raises NumericalFailure when
+    overflowing draws of b leave beta non-finite."""
     beta = df_rate + float(np.sum(np.log(b) + 1.0 / b))
+    if not np.isfinite(beta):
+        raise NumericalFailure(f"the degrees-of-freedom rate {beta} is not finite")
     return moonrock_slice_update(MoonRockParams(float(b.size), beta), upsilon, rng)
 
 
@@ -194,41 +196,8 @@ def draw_df_half(rng, b, df_rate, upsilon):
 # ---------------------------------------------------------------------------
 
 
-def _prior_only_chain(hyper, cfg, rng):
-    """Two-block Gibbs on the covariance construction alone, plus exact
-    prior draws for the remaining scalars."""
-    q = len(hyper.random_scales)
-    scales = np.asarray(hyper.random_scales, dtype=float)
-    Sigma = np.eye(q)
-    A_diag = np.ones(q)
-    sigma2 = 1.0
-    a_aux = 1.0
-    u_empty = np.zeros((0, q))
-
-    out_Sigma = np.empty((cfg.kept, q, q))
-    out_sigma2 = np.empty(cfg.kept)
-    out_a = np.empty(cfg.kept)
-    out_A = np.empty((cfg.kept, q))
-    for it in range(cfg.warmup + cfg.kept):
-        Sigma = draw_random_cov(rng, u_empty, A_diag)
-        A_diag = draw_cov_auxiliary(rng, _inverse_cov(Sigma), scales)
-        sigma2 = inv_chisq_sample(1.0, 1.0 / a_aux, rng)
-        a_aux = draw_noise_auxiliary(rng, sigma2, hyper.noise_scale)
-        if it >= cfg.warmup:
-            j = it - cfg.warmup
-            out_Sigma[j] = Sigma
-            out_A[j] = A_diag
-            out_sigma2[j] = sigma2
-            out_a[j] = a_aux
-    # the degrees of freedom are independent of everything under the prior
-    out_nu = 2.0 * moonrock_sample(MoonRockParams(0.0, hyper.df_rate), rng, size=cfg.kept)
-    return ChainOutput(
-        (), np.empty((cfg.kept, 0)), out_sigma2, out_Sigma, out_nu, out_a, out_A
-    )
-
-
 def gibbs_fit(
-    data: Optional[TLMMData],
+    data: TLMMData,
     hyper: Optional[TLMMHyper] = None,
     cfg: Optional[GibbsConfig] = None,
     design: str = "slope",
@@ -236,17 +205,11 @@ def gibbs_fit(
 ) -> ChainOutput:
     """Run the Gibbs sampler and return the retained draws.
 
-    ``data=None`` runs the prior alone (no likelihood, no coefficients),
-    which is how the covariance prior's marginals can be checked. ``init``
-    may override starting values by key: coefficients, sigma2, Sigma, a, A,
-    b, nu.
+    ``init`` may override starting values by key: coefficients, sigma2,
+    Sigma, a, A, b, nu.
     """
     cfg = cfg if cfg is not None else GibbsConfig()
     rng = np.random.default_rng(cfg.seed)
-    if data is None:
-        hyper = hyper if hyper is not None else TLMMHyper()
-        return _prior_only_chain(hyper, cfg, rng)
-
     des = assemble_design(data, design)
     p, q, m = des.n_fixed, des.n_random, des.n_groups
     if hyper is None:

@@ -32,6 +32,7 @@ from .distributions import (
 )
 from .errors import (
     DimensionMismatch,
+    DivergentIntegral,
     DomainError,
     ImproperMessage,
     InvalidHyperparameter,
@@ -464,12 +465,12 @@ class PosteriorSummary:
     def variance_mean(self) -> np.ndarray:
         d = self.variance.dim
         if self.variance.xi <= 2 * d:
-            raise DomainError("covariance posterior mean needs xi > 2d")
+            raise DivergentIntegral("covariance posterior mean needs xi > 2d")
         return self.variance.Lambda / (self.variance.xi - 2 * d)
 
     def noise_variance_mean(self) -> float:
         if self.noise_delta <= 2:
-            raise DomainError("noise variance mean needs delta > 2")
+            raise DivergentIntegral("noise variance mean needs delta > 2")
         return self.noise_lambda / (self.noise_delta - 2.0)
 
     def noise_sd_mean(self) -> float:

@@ -1,12 +1,13 @@
 """Dense oracles for the vech maps, the block-form coefficient algebra and
 the Inverse G-Wishart density.
 
-The program never forms vec, the Moore-Penrose inverse of a duplication
-matrix, the n x k design C or a k x k coefficient precision; these helpers
-do, so that tests can check ``fold_vech``/``unfold_vech``, the index-form
-design, the arrowhead natural vector and the block solver against plain
-dense linear algebra. ``igw_log_density`` is the exact density that the
-marginalization and sampler tests integrate against.
+The program never calls vec or vech, and never forms the Moore-Penrose
+inverse of a duplication matrix, the n x k design C or a k x k coefficient
+precision; these helpers do, so that tests can check
+``fold_vech``/``unfold_vech``, the index-form design, the arrowhead natural
+vector and the block solver against plain dense linear algebra.
+``igw_log_density`` is the exact density that the marginalization and
+sampler tests integrate against.
 """
 
 from dataclasses import dataclass
@@ -25,6 +26,16 @@ def vec(M: np.ndarray) -> np.ndarray:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"vec expects a square matrix, got shape {M.shape}")
     return M.ravel(order="F").copy()
+
+
+def vech(M: np.ndarray) -> np.ndarray:
+    """Half-vectorization: the lower triangle, diagonal included, column by
+    column."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise DimensionMismatch(f"vech expects a square matrix, got shape {M.shape}")
+    # the row-major upper triangle of M^T is the column-major lower triangle of M
+    return M.T[np.triu_indices(M.shape[0])]
 
 
 def vec_inverse(a: np.ndarray, d: int) -> np.ndarray:

@@ -236,6 +236,16 @@ def test_negative_seed_is_an_input_error(command, seed, small_csv, tmp_path, cap
     assert list(out.iterdir()) == []
 
 
+def overflowing_csv(tmp_path, column):
+    """The m=20 example with y or x1 scaled by 1e160: finite and well formed,
+    but the fits' squares and sums of it overflow."""
+    data, _ = tlmm.simulate(seed=1)
+    y, x = (data.y * 1e160, data.x) if column == "y" else (data.y, data.x * 1e160)
+    path = tmp_path / f"{column}_1e160.csv"
+    write_data_csv(path, tlmm.TLMMData(y, x, data.group))
+    return path
+
+
 def test_fit_vmp_numerical_failure_exit_code(tmp_path, capsys):
     # noise-free responses drive the coefficient precision non-SPD; the
     # typed NonSPDPrecision must map to exit code 3, not a traceback
@@ -245,6 +255,24 @@ def test_fit_vmp_numerical_failure_exit_code(tmp_path, capsys):
     rc = main(["fit-vmp", "--input", str(path), "--output", str(tmp_path / "z.json")])
     assert rc == 3
     assert capsys.readouterr().err.startswith("error: ")
+    # an overflow on valid input is a numerical failure of every command,
+    # not an input error
+    chain = ["--warmup", "10", "--kept", "100"]
+    for column in ("y", "x1"):
+        path = overflowing_csv(tmp_path, column)
+        for command, extra in (("fit-vmp", []), ("fit-mcmc", chain), ("compare", chain)):
+            argv = [command, "--input", str(path), "--output", str(tmp_path / "o.json"), *extra]
+            with pytest.warns(RuntimeWarning):
+                rc = main(argv)
+            assert rc == 3, (column, command)
+            assert capsys.readouterr().err.startswith("error: "), (column, command)
+    # one observation leaves q(sigma^2) with delta = 2, so the sigma that
+    # compare reports has no finite sd
+    path = tmp_path / "one_row.csv"
+    assert main(["simulate", "--output", str(path), "--m", "1", "--n-per-group", "1"]) == 0
+    capsys.readouterr()
+    assert main(["compare", "--input", str(path), "--output", str(tmp_path / "r.json"), *chain]) == 3
+    assert capsys.readouterr().err.startswith("error: sd(sigma)")
 
 
 def test_fit_vmp_constant_predictor_exit_code(tmp_path, capsys):
@@ -452,6 +480,11 @@ def test_console_script(tmp_path):
                str(tmp_path / "fit.json"))
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:"), proc.stderr
+
+    proc = run("fit-vmp", "--input", str(overflowing_csv(tmp_path, "y")), "--output",
+               str(tmp_path / "fit.json"))
+    assert proc.returncode == 3, proc.stderr
+    assert "error: " in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
 
 
 @pytest.mark.skipif(shutil.which("igwvmp") is None, reason="no igwvmp executable on PATH")

@@ -211,6 +211,12 @@ class TestInvChiSq:
         se_log = np.log(x).std() / np.sqrt(x.size)
         assert abs(np.log(x).mean() - dist.inv_chisq_mean_log(delta, lam)) < 4 * se_log
 
+    def test_moments_of_sigma_that_diverge(self):
+        with pytest.raises(DivergentIntegral):
+            dist.inv_chisq_sqrt_mean(1.0, 1.0)
+        with pytest.raises(DivergentIntegral):
+            dist.inv_chisq_sqrt_sd(2.0, 1.0)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
             dist.inv_chisq_log_density(-1.0, 1.0, 1.0)
@@ -372,6 +378,13 @@ class TestMoonRock:
             MoonRockParams(-0.5, 1.0)
         with pytest.raises(InvalidHyperparameter):
             MoonRockParams(1.0, 0.0)
+
+    @pytest.mark.parametrize("eta", [[300.0, 50.0], [-0.5, -1.0], [0.0, 0.0]])
+    def test_improper_natural_vector_is_an_improper_message(self, eta):
+        # naturals come from messages, so beta <= 0 or alpha < 0 there is a
+        # numerical failure, not a bad hyperparameter
+        with pytest.raises(ImproperMessage):
+            MoonRockParams.from_vector(eta)
 
     def test_natural_vector_round_trip(self):
         p = MoonRockParams.from_vector(np.array([3.0, -4.0]))

@@ -13,6 +13,7 @@ from igwvmp.errors import (
     ImproperMessage,
     InvalidHyperparameter,
     MissingMessage,
+    NumericalFailure,
 )
 from igwvmp.graph_engine import ConvergenceReport, Factor, FactorGraph, Message, Node
 
@@ -97,7 +98,7 @@ class TestStoreDiscipline:
 
     def test_nonfinite_rejected(self):
         graph, _ = conjugate_toy()
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ImproperMessage):
             graph.store("prior", "noise", Message(np.array([np.nan, -1.0]), Graph.FULL))
 
     def test_unknown_node_rejected(self):
@@ -229,7 +230,7 @@ class TestState:
         before = graph.state()
         with pytest.raises(DimensionMismatch):
             graph.load_state(np.zeros(3))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ImproperMessage):
             graph.load_state([-2.0, np.inf, -2.0, -1.0])
         assert np.array_equal(graph.factor_to_node("likelihood", "noise").eta, before[2:])
 
@@ -310,9 +311,11 @@ class TestSquarem:
             decay_toy(fail_on).run(tol=1e-30, max_iters=10)
 
     def test_stabilizing_sweep_error_rejects_the_step(self):
-        report = decay_toy(fail_on=3).run(tol=1e-30, max_iters=6)
-        assert report.changes[2] == np.inf
-        assert np.all(np.isfinite(report.changes[:2] + report.changes[3:]))
+        # the guard rejects any NumericalFailure, the base class included
+        for error in (ImproperMessage, NumericalFailure):
+            report = decay_toy(fail_on=3, error=error).run(tol=1e-30, max_iters=6)
+            assert report.changes[2] == np.inf
+            assert np.all(np.isfinite(report.changes[:2] + report.changes[3:]))
 
     def test_non_numerical_error_in_stabilizing_sweep_propagates(self):
         with pytest.raises(MissingMessage):

@@ -21,8 +21,9 @@ from igwvmp.errors import (
     InvalidHyperparameter,
     NonSPDPrecision,
     NotConverged,
+    NumericalFailure,
 )
-from igwvmp.graph_engine import FactorGraph
+from igwvmp.graph_engine import FactorGraph, Message
 from igwvmp.prior_specs import HalfCauchySpec, HuangWandSpec, plan_prior
 from oracles import (
     NaturalMVN,
@@ -386,6 +387,17 @@ def test_first_sweep_keeps_every_posterior_extractable(small_data):
     assert delta > 0 and lam > 0
     params = MoonRockParams.from_vector(graph.q_star("df_half").eta)
     assert params.beta > params.alpha
+
+
+def test_improper_df_message_is_a_numerical_failure_of_the_sweep():
+    # an extrapolated state can hold a scale_mix -> df_half message that
+    # makes q(df_half) improper (beta < 0); the next sweep must raise a
+    # NumericalFailure, which the SQUAREM guard rejects, not an input error
+    data, _ = tlmm.simulate(seed=1)
+    graph = tlmm.build_graph(data, tlmm.TLMMHyper.diffuse(2))
+    graph.store("scale_mix", "df_half", Message(np.array([300.0, 50.0])))
+    with pytest.raises(NumericalFailure):
+        graph.sweep()
 
 
 # ---------------------------------------------------------------------------
