@@ -168,27 +168,36 @@ def test_gibbs_iterations_need_no_k_by_k_array():
     assert peak < 64e6
 
 
-def test_covariance_blocks_without_random_effects_give_uniform_correlation():
-    # with no groups, the two covariance blocks sample the Huang-Wand prior,
-    # whose correlation is uniform on (-1, 1)
-    rng = np.random.default_rng(3)
-    scales = np.array([1.0, 2.0])
-    u_empty = np.zeros((0, 2))
-    A_diag = np.ones(2)
-    draws = []
-    for it in range(3200):
-        Sigma = mcmc.draw_random_cov(rng, u_empty, A_diag)
-        A_diag = mcmc.draw_cov_auxiliary(rng, mcmc._inverse_cov(Sigma), scales)
-        assert np.all(A_diag > 0)
-        if it >= 200:
-            draws.append(Sigma)
-    Sigma = np.array(draws)
-    np.linalg.cholesky(Sigma)
+def _prior_covariance_draws(scales, warmup, kept, seed):
+    # with no groups, the two covariance blocks sample the Huang-Wand prior
+    rng = np.random.default_rng(seed)
+    scales = np.asarray(scales, dtype=float)
+    u_empty = np.zeros((0, scales.size))
+    A_diag = np.ones(scales.size)
+    Sigma, A = [], []
+    for it in range(warmup + kept):
+        S = mcmc.draw_random_cov(rng, u_empty, A_diag)
+        A_diag = mcmc.draw_cov_auxiliary(rng, mcmc._inverse_cov(S), scales)
+        if it >= warmup:
+            Sigma.append(S)
+            A.append(A_diag)
+    return np.array(Sigma), np.array(A)
+
+
+def test_prior_only_correlation_is_uniform():
+    # the Huang-Wand prior's correlation is uniform on (-1, 1)
+    Sigma, _ = _prior_covariance_draws((1.0, 2.0), warmup=200, kept=3000, seed=3)
     sds = np.sqrt(Sigma[:, [0, 1], [0, 1]])
     rho = Sigma[:, 0, 1] / (sds[:, 0] * sds[:, 1])
     stat = kstest((rho + 1.0) / 2.0, "uniform").statistic
     assert stat < 0.05
     assert abs(np.mean(rho)) < 0.06
+
+
+def test_prior_only_draws_are_positive_and_spd():
+    Sigma, A = _prior_covariance_draws((1.0, 1.0), warmup=50, kept=200, seed=9)
+    assert np.all(A > 0)
+    np.linalg.cholesky(Sigma)
 
 
 def test_chain_output_invariants(small_chain):
