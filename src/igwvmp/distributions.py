@@ -396,12 +396,19 @@ def _moonrock_center(alpha: float, beta: float) -> float:
     Gamma-shape MLE, solved as in Minka (2002), "Estimating a Gamma
     distribution": the closed-form start (3 - r + sqrt((r - 3)^2 + 24 r))/(12 r)
     and three Newton steps in s, which leave it at rounding level for
-    r >= 1e-3 (below that, log t - psi(t) itself cancels).
+    r >= 1e-3 (below that, log t - psi(t) itself cancels). For r > 3 the
+    start is taken in its rationalized form 2/(hypot(r - 3, sqrt(24 r)) +
+    r - 3), whose numerator would otherwise cancel to 0 once r reaches
+    about 1e17.
     """
     if alpha == 0.0:
         return float(np.log(1.0 / beta))
     r = beta / alpha - 1.0
-    s = math.log((3.0 - r + math.sqrt((r - 3.0) ** 2 + 24.0 * r)) / (12.0 * r))
+    if r > 3.0:
+        start = 2.0 / (math.hypot(r - 3.0, math.sqrt(24.0 * r)) + r - 3.0)
+    else:
+        start = (3.0 - r + math.sqrt((r - 3.0) ** 2 + 24.0 * r)) / (12.0 * r)
+    s = math.log(start)
     for _ in range(3):
         t = math.exp(s)
         s -= (s - digamma(t) - r) / (1.0 - t * zeta(2.0, t))

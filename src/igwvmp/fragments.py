@@ -1,7 +1,8 @@
 """Factor-to-node update rules for the message passing fragments.
 
-Each update is a pure function from message inputs to message outputs.
-Messages on variance-type nodes are natural vectors for the sufficient
+Each update is a pure function from message inputs to the messages its
+factor sends, each a ``graph_engine.Message`` (``IGWMessage`` is the same
+type). Messages on variance-type nodes are natural vectors for the sufficient
 statistic (log|X|, vech(X^{-1})) carrying an Inverse G-Wishart graph tag;
 diag-tagged vectors keep their off-diagonal vech entries at zero (those
 entries carry no information under the diagonal graph, and zeroing them makes
@@ -9,6 +10,12 @@ message equality checks exact). Messages on the Gaussian coefficient node
 are (eta1, eta2) with eta2 = ``matops.ravel_arrowhead`` of -P/2 for a
 precision P that is zero off the arrowhead, and messages on Moon Rock
 nodes the pair (alpha, -beta).
+
+The t-likelihood is the pair of factors y_l | coeffs, sigma^2, b_l ~
+N((C coeffs)_l, sigma^2 b_l) and b_l | upsilon ~ Inverse-chi^2(2 upsilon,
+2 upsilon), with the b_l marginalized in closed form: ``t_likelihood_update``
+sends the first factor's messages to the coefficients and the noise
+variance, ``scale_mixture_update`` the second factor's message to upsilon.
 """
 
 from typing import NamedTuple
@@ -26,6 +33,7 @@ from .distributions import (
     omega,
 )
 from .errors import InvalidShape
+from .graph_engine import Message
 
 __all__ = [
     "IGWMessage",
@@ -38,30 +46,25 @@ __all__ = [
     "moonrock_prior_update",
     "gaussian_penalization_update",
     "t_likelihood_update",
+    "scale_mixture_update",
 ]
 
-
-class IGWMessage(NamedTuple):
-    """A natural vector on a variance node together with its graph tag."""
-
-    eta: np.ndarray
-    graph: Graph
+IGWMessage = Message
 
 
 class IteratedIGWResult(NamedTuple):
-    to_variance: IGWMessage
-    to_auxiliary: IGWMessage
+    to_variance: Message
+    to_auxiliary: Message
 
 
 class GaussianPenalizationResult(NamedTuple):
-    to_coefficients: np.ndarray
-    to_variance: IGWMessage
+    to_coefficients: Message
+    to_variance: Message
 
 
 class TLikelihoodResult(NamedTuple):
-    to_coefficients: np.ndarray
-    to_noise: IGWMessage
-    to_df_half: np.ndarray
+    to_coefficients: Message
+    to_noise: Message
 
 
 def canonical_eta(eta: np.ndarray, graph: Graph) -> np.ndarray:
@@ -72,13 +75,13 @@ def canonical_eta(eta: np.ndarray, graph: Graph) -> np.ndarray:
     return np.concatenate((eta[:1], matops.zero_offdiag_vech(eta[1:])))
 
 
-def igw_prior_update(prior: CommonIGW) -> IGWMessage:
+def igw_prior_update(prior: CommonIGW) -> Message:
     """Message from an Inverse G-Wishart prior factor to its variance node.
 
     Constant across iterations: the natural vector of the prior itself.
     """
     n = igw_to_natural(prior)
-    return IGWMessage(canonical_eta(n.to_vector(), prior.graph), prior.graph)
+    return Message(canonical_eta(n.to_vector(), prior.graph), prior.graph)
 
 
 def iterated_igw_update(
@@ -87,7 +90,7 @@ def iterated_igw_update(
     to_variance: np.ndarray,
     from_variance: np.ndarray,
     to_auxiliary: np.ndarray,
-    from_auxiliary: IGWMessage,
+    from_auxiliary: Message,
 ) -> IteratedIGWResult:
     """Update for a factor of the form p(Sigma | A) = IGW(graph, xi, A^{-1}).
 
@@ -133,14 +136,14 @@ def iterated_igw_update(
     )
 
     return IteratedIGWResult(
-        IGWMessage(canonical_eta(eta_to_variance, graph), graph),
-        IGWMessage(canonical_eta(eta_to_auxiliary, aux_graph), aux_graph),
+        Message(canonical_eta(eta_to_variance, graph), graph),
+        Message(canonical_eta(eta_to_auxiliary, aux_graph), aux_graph),
     )
 
 
-def moonrock_prior_update(alpha: float, beta: float) -> np.ndarray:
+def moonrock_prior_update(alpha: float, beta: float) -> Message:
     """Constant message from a Moon Rock prior factor: (alpha, -beta)."""
-    return np.array([float(alpha), -float(beta)])
+    return Message(np.array([float(alpha), -float(beta)]))
 
 
 def gaussian_penalization_update(
@@ -173,9 +176,19 @@ def gaussian_penalization_update(
     u = mean_coeffs[n_fixed:].reshape(n_groups, q)
     S = u.T @ u + cov_coeffs.blocks.sum(axis=0)
     eta_var = np.concatenate(([-n_groups / 2.0], -0.5 * matops.fold_vech(S)))
-    return GaussianPenalizationResult(
-        to_coefficients, IGWMessage(eta_var, Graph.FULL)
-    )
+    return GaussianPenalizationResult(Message(to_coefficients), Message(eta_var, Graph.FULL))
+
+
+def _scale_mixture(y, design, mean_coeffs, cov_coeffs, mean_inv_noise, mean_df_half):
+    """(r, shape, rates): the residual second moments r_l = E((y_l -
+    (C coeffs)_l)^2) and the Inverse-chi^2 shape and rates of q(b_l).
+
+    ``design`` is the index-form C (``tlmm.DesignInfo``) and ``cov_coeffs``
+    the arrowhead blocks of the coefficient covariance.
+    """
+    resid = y - design.predict(mean_coeffs)
+    r = resid**2 + design.row_variance(cov_coeffs)
+    return r, 2.0 * mean_df_half + 1.0, 2.0 * mean_df_half + mean_inv_noise * r
 
 
 def t_likelihood_update(
@@ -186,28 +199,35 @@ def t_likelihood_update(
     mean_inv_noise: float,
     mean_df_half: float,
 ) -> TLikelihoodResult:
-    """Joint update for the pair of factors attaching t-distributed responses.
-
-    The responses enter through y_l | coeffs, sigma^2, b_l ~ N((C coeffs)_l,
-    sigma^2 b_l) with b_l | upsilon ~ Inverse-chi^2(2 upsilon, 2 upsilon); the
-    b_l are marginalized in closed form every update, so no messages are
-    stored on them. ``design`` is the index-form C (``tlmm.DesignInfo``)
-    and ``cov_coeffs`` the arrowhead blocks of the coefficient covariance.
-    """
+    """Messages of the factor y_l | coeffs, sigma^2, b_l ~ N((C coeffs)_l,
+    sigma^2 b_l) to the coefficients and the noise variance, with each b_l
+    marginalized under q(b_l) (see the module docstring)."""
     y = np.asarray(y, dtype=float)
-    n = y.size
-    resid = y - design.predict(mean_coeffs)
-    r = resid**2 + design.row_variance(cov_coeffs)
-
-    b_shape = 2.0 * mean_df_half + 1.0
-    b_rates = 2.0 * mean_df_half + mean_inv_noise * r
+    r, b_shape, b_rates = _scale_mixture(
+        y, design, mean_coeffs, cov_coeffs, mean_inv_noise, mean_df_half
+    )
     mean_inv_b = inv_chisq_mean_inverse(b_shape, b_rates)
-    mean_log_b = inv_chisq_mean_log(b_shape, b_rates)
-
     cross_y, gram = design.weighted_cross(mean_inv_b, y)
     to_coefficients = np.concatenate((mean_inv_noise * cross_y, -0.5 * mean_inv_noise * gram))
-    to_noise = IGWMessage(
-        np.array([-n / 2.0, -0.5 * float(np.sum(mean_inv_b * r))]), Graph.FULL
+    to_noise = np.array([-y.size / 2.0, -0.5 * float(np.sum(mean_inv_b * r))])
+    return TLikelihoodResult(Message(to_coefficients), Message(to_noise, Graph.FULL))
+
+
+def scale_mixture_update(
+    y: np.ndarray,
+    design,
+    mean_coeffs: np.ndarray,
+    cov_coeffs: matops.Arrowhead,
+    mean_inv_noise: float,
+    mean_df_half: float,
+) -> Message:
+    """Message of the factor b_l | upsilon ~ Inverse-chi^2(2 upsilon,
+    2 upsilon) to upsilon, (n, -sum_l (E log b_l + E 1/b_l)), from the same
+    q(b_l) as ``t_likelihood_update``."""
+    y = np.asarray(y, dtype=float)
+    _, b_shape, b_rates = _scale_mixture(
+        y, design, mean_coeffs, cov_coeffs, mean_inv_noise, mean_df_half
     )
-    to_df_half = np.array([float(n), -float(np.sum(mean_log_b + mean_inv_b))])
-    return TLikelihoodResult(to_coefficients, to_noise, to_df_half)
+    mean_log_b = inv_chisq_mean_log(b_shape, b_rates)
+    mean_inv_b = inv_chisq_mean_inverse(b_shape, b_rates)
+    return Message(np.array([float(y.size), -float(np.sum(mean_log_b + mean_inv_b))]))

@@ -22,7 +22,6 @@ from .distributions import (
     NaturalIGW,
     combined_mean_inverse,
     igw_from_natural,
-    implied_scale,
     inv_chisq_sqrt_mean,
     inv_chisq_sqrt_sd,
     moonrock_log_density,
@@ -70,7 +69,7 @@ TRUE_RANDOM_COV = ((2.58, 0.22), (0.22, 1.73))
 TRUE_DF = 1.5
 
 # (fixed-effect columns, random effects per group) of each design
-_DESIGN_SIZES = {"slope": (2, 2), "intercept": (2, 1), "micro": (1, 1)}
+_DESIGN_SIZES = {"slope": (2, 2), "intercept": (2, 1)}
 
 NODE_NAMES = ("cov_aux", "noise_aux", "cov", "noise", "coefficients", "df_half")
 FACTOR_NAMES = (
@@ -137,7 +136,12 @@ class TLMMHyper:
     """Prior hyperparameters: the fixed-effects scale sigma_beta, the noise
     Half-Cauchy scale, the per-component Huang-Wand scales for the random
     effects, and the rate of the exponential prior on the half degrees of
-    freedom."""
+    freedom.
+
+    Each must be positive with a square and a reciprocal square that are
+    finite and nonzero floats, as the priors use them (about 1e-154 to
+    1e154); beyond that a prior's parameters overflow or vanish.
+    """
 
     fixed_scale: float = 1e5
     noise_scale: float = 1e5
@@ -146,9 +150,15 @@ class TLMMHyper:
 
     def __post_init__(self):
         scales = tuple(float(s) for s in self.random_scales)
-        values = (self.fixed_scale, self.noise_scale, self.df_rate, *scales)
-        if not all(np.isfinite(v) and v > 0 for v in values):
-            raise InvalidHyperparameter("all hyperparameters must be finite and positive")
+        values = np.array((self.fixed_scale, self.noise_scale, self.df_rate, *scales))
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            squares = values * values
+            inverse = 1.0 / squares
+        if not np.all((values > 0) & np.isfinite(squares) & np.isfinite(inverse)):
+            raise InvalidHyperparameter(
+                "all hyperparameters must be positive, with finite and nonzero "
+                f"squares and reciprocal squares; got {values.tolist()}"
+            )
         object.__setattr__(self, "fixed_scale", float(self.fixed_scale))
         object.__setattr__(self, "noise_scale", float(self.noise_scale))
         object.__setattr__(self, "random_scales", scales)
@@ -287,20 +297,12 @@ def assemble_design(data: TLMMData, design: str = "slope") -> DesignInfo:
 
     ``slope`` and ``intercept`` pair fixed intercept-plus-predictor columns
     with a random intercept and slope (q=2) or a random intercept alone
-    (q=1). ``micro`` is the minimal intercept-only layout (p=q=1) used by
-    degenerate smoke tests.
+    (q=1).
     """
     design_sizes(design)  # rejects an unknown name
     ones = np.ones(data.n_obs)
-    if design == "slope":
-        X = np.column_stack((ones, data.x))
-        z = np.column_stack((ones, data.x))
-    elif design == "intercept":
-        X = np.column_stack((ones, data.x))
-        z = ones[:, None]
-    else:  # micro
-        X = ones[:, None]
-        z = ones[:, None]
+    X = np.column_stack((ones, data.x))
+    z = X if design == "slope" else ones[:, None]
     return DesignInfo(X, z, data.group, data.n_groups)
 
 
@@ -556,12 +558,10 @@ def initial_messages(hyper: TLMMHyper, n_fixed: int, n_random: int, n_groups: in
         np.eye(p), np.zeros((m, p, q)), np.broadcast_to(np.eye(q), (m, q, q))
     )
     gauss_init = np.concatenate((np.zeros(k), -0.5 * matops.ravel_arrowhead(identity)))
-    cov_msg = fr.igw_prior_update(plan_cov.prior_factor)
-    noise_msg = fr.igw_prior_update(plan_noise.prior_factor)
     scalar_init = np.array([-2.0, -1.0])
     return {
-        ("cov_aux_prior", "cov_aux"): Message(cov_msg.eta, cov_msg.graph),
-        ("noise_aux_prior", "noise_aux"): Message(noise_msg.eta, noise_msg.graph),
+        ("cov_aux_prior", "cov_aux"): fr.igw_prior_update(plan_cov.prior_factor),
+        ("noise_aux_prior", "noise_aux"): fr.igw_prior_update(plan_noise.prior_factor),
         ("cov_conditional", "cov_aux"): Message(igw_init, Graph.DIAG),
         ("cov_conditional", "cov"): Message(igw_init, Graph.FULL),
         ("noise_conditional", "noise_aux"): Message(scalar_init, Graph.DIAG),
@@ -571,30 +571,8 @@ def initial_messages(hyper: TLMMHyper, n_fixed: int, n_random: int, n_groups: in
         ("likelihood", "coefficients"): Message(gauss_init),
         ("likelihood", "noise"): Message(scalar_init, Graph.FULL),
         ("scale_mix", "df_half"): Message(np.array([1.0, -1.1])),
-        ("df_prior", "df_half"): Message(fr.moonrock_prior_update(0.0, hyper.df_rate)),
+        ("df_prior", "df_half"): fr.moonrock_prior_update(0.0, hyper.df_rate),
     }
-
-
-def _assert_initial_proper(messages: dict, n_fixed: int, n_random: int, n_groups: int):
-    """Reject a start state whose messages are not simple legal vectors:
-    implied scales and precisions SPD, shape entries negative, degrees-of
-    freedom naturals with beta > alpha >= 0."""
-    dims = {"cov_aux": n_random, "cov": n_random, "noise_aux": 1, "noise": 1}
-    for (factor, node), msg in messages.items():
-        eta = np.asarray(msg.eta, dtype=float)
-        if node in dims:
-            if eta[0] >= 0 or not matops.is_spd(implied_scale(eta[1:], dims[node])):
-                raise ImproperMessage(
-                    f"initial message {factor} -> {node} is not a legal start vector"
-                )
-        elif node == "coefficients":
-            extract_gaussian(eta, n_fixed, n_random, n_groups)
-        elif node == "df_half":
-            alpha, beta = eta[0], -eta[1]
-            if not beta > alpha >= 0:
-                raise ImproperMessage(
-                    f"initial message {factor} -> {node} needs beta > alpha >= 0"
-                )
 
 
 def build_graph(data: TLMMData, hyper: TLMMHyper, design="slope") -> FactorGraph:
@@ -629,7 +607,6 @@ def build_graph(data: TLMMData, hyper: TLMMHyper, design="slope") -> FactorGraph
     ]
 
     inits = initial_messages(hyper, p, q, m)
-    _assert_initial_proper(inits, p, q, m)
 
     def constant(factor, node):
         # a prior factor emits its start message on every sweep
@@ -643,14 +620,9 @@ def build_graph(data: TLMMData, hyper: TLMMHyper, design="slope") -> FactorGraph
             to_variance=g.factor_to_node(name, variance_node).eta,
             from_variance=g.node_to_factor(variance_node, name).eta,
             to_auxiliary=g.factor_to_node(name, aux_node).eta,
-            from_auxiliary=fr.IGWMessage(
-                g.node_to_factor(aux_node, name).eta, plan.conditional.aux_graph
-            ),
+            from_auxiliary=g.node_to_factor(aux_node, name),
         )
-        return {
-            variance_node: Message(res.to_variance.eta, res.to_variance.graph),
-            aux_node: Message(res.to_auxiliary.eta, res.to_auxiliary.graph),
-        }
+        return {variance_node: res.to_variance, aux_node: res.to_auxiliary}
 
     def cov_conditional_update(g):
         return iterated_update(g, "cov_conditional", "cov", "cov_aux", plan_cov)
@@ -674,31 +646,25 @@ def build_graph(data: TLMMData, hyper: TLMMHyper, design="slope") -> FactorGraph
         mu, Sig = gaussian_moments(g)
         inv_cov = combined_mean_inverse(g.q_star("cov").eta, Graph.FULL)
         res = fr.gaussian_penalization_update(mu, Sig, p, m, hyper.fixed_scale, inv_cov)
-        return {
-            "coefficients": Message(res.to_coefficients),
-            "cov": Message(res.to_variance.eta, res.to_variance.graph),
-        }
+        return {"coefficients": res.to_coefficients, "cov": res.to_variance}
 
-    def composite(g):
+    def scale_mixture_inputs(g):
         mu, Sig = gaussian_moments(g)
         inv_noise = float(combined_mean_inverse(g.q_star("noise").eta, Graph.FULL)[0, 0])
-        mean_df_half = moonrock_mean(df_half_params(g))
-        return fr.t_likelihood_update(y, des, mu, Sig, inv_noise, mean_df_half)
+        return y, des, mu, Sig, inv_noise, moonrock_mean(df_half_params(g))
 
     def likelihood_update(g):
-        res = composite(g)
-        return {
-            "coefficients": Message(res.to_coefficients),
-            "noise": Message(res.to_noise.eta, res.to_noise.graph),
-        }
+        res = fr.t_likelihood_update(*scale_mixture_inputs(g))
+        return {"coefficients": res.to_coefficients, "noise": res.to_noise}
 
     def scale_mix_update(g):
-        return {"df_half": Message(composite(g).to_df_half)}
+        return {"df_half": fr.scale_mixture_update(*scale_mixture_inputs(g))}
 
     # Updates read whole q* densities, so each also sees the other factors'
-    # messages on its own nodes. The reads across edges come from the shared
-    # t-likelihood update (composite): likelihood reads q*(df_half), and
-    # scale_mix reads q*(coefficients) and q*(noise).
+    # messages on its own nodes. The reads across edges come from
+    # marginalizing the scale mixture b inside both t-likelihood fragments:
+    # likelihood reads q*(df_half), and scale_mix reads q*(coefficients) and
+    # q*(noise).
     factors = [
         Factor("cov_aux_prior", ("cov_aux",), constant("cov_aux_prior", "cov_aux")),
         Factor("noise_aux_prior", ("noise_aux",), constant("noise_aux_prior", "noise_aux")),

@@ -161,6 +161,29 @@ def test_bad_run_length_rejected_before_work(command, extra, small_csv, tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["fit-vmp", "fit-mcmc", "compare"])
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        (flag, value)
+        for flag in ("--sigma-beta", "--s-sigma", "--s-Sigma", "--lambda-nu")
+        for value in ("1e-200", "1e200", "1e300")
+    ]
+    + [("--lambda-nu", "1e18")],
+)
+def test_extreme_prior_flags_end_in_an_error(command, flag, value, small_csv, tmp_path, capsys):
+    # finite, positive values whose squares or reciprocal squares leave the
+    # float range are rejected as input (exit 2); a df rate of 1e18 passes
+    # that check and makes the fit fail (exit 3)
+    argv = [command, "--input", str(small_csv), "--output", str(tmp_path / "o.json"), flag, value]
+    if command != "fit-mcmc":
+        argv += ["--max-iters", "20"]
+    if command != "fit-vmp":
+        argv += ["--warmup", "10", "--kept", "100"]
+    assert main(argv) == (3 if value == "1e18" else 2)
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_non_finite_payload_is_a_numerical_failure(tmp_path):
     out = tmp_path / "o.json"
     with pytest.raises(CommandError, match="cannot write") as info:

@@ -9,6 +9,7 @@ from igwvmp import fragments as fr
 from igwvmp import matops, tlmm
 from igwvmp.distributions import CommonIGW, Graph
 from igwvmp.errors import ImproperMessage, InvalidShape
+from igwvmp.graph_engine import Message
 from oracles import blockdiag, dense_arrowhead, dense_design, vec
 
 
@@ -21,6 +22,8 @@ def natural_of(xi, Lam):
 class TestPriorFragment:
     def test_full_graph_vector(self):
         msg = fr.igw_prior_update(CommonIGW(Graph.FULL, 10.0, np.eye(2)))
+        # one tagged-vector type: the engine stores fragment output as is
+        assert fr.IGWMessage is Message and type(msg) is Message
         assert msg.graph is Graph.FULL
         assert_allclose(msg.eta, [-6.0, -0.5, 0.0, -0.5])
 
@@ -154,8 +157,8 @@ class TestIteratedFragment:
 
 class TestMoonRockPrior:
     def test_vector(self):
-        assert_allclose(fr.moonrock_prior_update(0.0, 0.01), [0.0, -0.01])
-        assert_allclose(fr.moonrock_prior_update(2.0, 5.0), [2.0, -5.0])
+        assert_allclose(fr.moonrock_prior_update(0.0, 0.01).eta, [0.0, -0.01])
+        assert_allclose(fr.moonrock_prior_update(2.0, 5.0).eta, [2.0, -5.0])
 
 
 def random_design(rng, p, q, m, n):
@@ -191,10 +194,10 @@ class TestGaussianPenalization:
         res = fr.gaussian_penalization_update(mean, cov, p, m, 10.0, Einv)
 
         # precision block: sigma_beta^{-2} I_p then m copies of E(Sigma^{-1})
-        P = -2.0 * dense_from_ravel(res.to_coefficients[k:], p, q, m)
+        P = -2.0 * dense_from_ravel(res.to_coefficients.eta[k:], p, q, m)
         expected = blockdiag([np.eye(p) / 100.0] + [Einv] * m)
         assert_allclose(P, expected, atol=1e-13)
-        assert_allclose(res.to_coefficients[:k], np.zeros(k))
+        assert_allclose(res.to_coefficients.eta[:k], np.zeros(k))
 
         # variance message carries -m/2 and the summed second moments
         assert res.to_variance.graph is Graph.FULL
@@ -245,17 +248,17 @@ class TestTLikelihood:
 
     def test_messages_match_direct_formulas(self):
         einv_noise, e_df_half = 2.0, 1.5
-        res = fr.t_likelihood_update(
-            self.y, self.design, self.mean, self.cov, einv_noise, e_df_half
-        )
+        args = (self.y, self.design, self.mean, self.cov, einv_noise, e_df_half)
+        res = fr.t_likelihood_update(*args)
         r = self.residual_second_moments()
         w = (2 * e_df_half + 1.0) / (2 * e_df_half + einv_noise * r)
         W = np.diag(w)
-        assert_allclose(res.to_coefficients[: self.k], einv_noise * self.C.T @ W @ self.y)
+        assert res.to_coefficients.graph is None
+        assert_allclose(res.to_coefficients.eta[: self.k], einv_noise * self.C.T @ W @ self.y)
         # the arrowhead blocks are the whole dense message: every entry of
         # C^T W C off the arrowhead is zero
         assert_allclose(
-            dense_from_ravel(res.to_coefficients[self.k :], self.p, self.q, self.m),
+            dense_from_ravel(res.to_coefficients.eta[self.k :], self.p, self.q, self.m),
             -0.5 * einv_noise * (self.C.T @ W @ self.C),
             rtol=1e-12,
         )
@@ -264,14 +267,16 @@ class TestTLikelihood:
         elog_b = np.log((2 * e_df_half + einv_noise * r) / 2.0) - digamma(
             (2 * e_df_half + 1.0) / 2.0
         )
-        assert_allclose(res.to_df_half, [self.n, -np.sum(elog_b + w)])
+        to_df_half = fr.scale_mixture_update(*args)
+        assert to_df_half.graph is None
+        assert_allclose(to_df_half.eta, [self.n, -np.sum(elog_b + w)])
 
     def test_gaussian_limit_weights_approach_one(self):
         # as E(upsilon) grows the scale mixture collapses and W -> I
         # |w_l - 1| < 1e-6 bounds each entry of C^T (W - I) y and C^T (W - I) C
         res = fr.t_likelihood_update(self.y, self.design, self.mean, self.cov, 1.0, 1e8)
         C = self.C
-        h = res.to_coefficients[: self.k]
-        gram = dense_from_ravel(res.to_coefficients[self.k :], self.p, self.q, self.m)
+        h = res.to_coefficients.eta[: self.k]
+        gram = dense_from_ravel(res.to_coefficients.eta[self.k :], self.p, self.q, self.m)
         assert np.all(np.abs(h - C.T @ self.y) <= 1e-6 * np.abs(C).T @ np.abs(self.y))
         assert np.all(np.abs(gram + 0.5 * (C.T @ C)) <= 0.5e-6 * (np.abs(C).T @ np.abs(C)))
