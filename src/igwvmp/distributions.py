@@ -75,9 +75,10 @@ class CommonIGW:
     """Inverse G-Wishart in (graph, shape, scale) form.
 
     p(X) is proportional to |X|^{-(xi+2)/2} exp(-tr(Lambda X^{-1})/2) on the
-    support determined by the graph. The full graph requires xi > 2d - 2 and
-    an SPD scale; the diagonal graph requires xi > 0 and a positive diagonal
-    (off-diagonal scale entries carry no information and are zeroed).
+    support determined by the graph. The full graph requires a finite
+    xi > 2d - 2 and an SPD scale; the diagonal graph requires a finite xi > 0
+    and a positive, finite diagonal (off-diagonal scale entries carry no
+    information and are zeroed).
     """
 
     graph: Graph
@@ -90,19 +91,19 @@ class CommonIGW:
         if Lam.shape != (d, d):
             raise InvalidHyperparameter(f"scale must be square, got {Lam.shape}")
         if self.graph is Graph.FULL:
-            if not (self.xi > 2 * d - 2):
+            if not (2 * d - 2 < self.xi < np.inf):
                 raise InvalidShape(
-                    f"full graph requires xi > 2d-2 = {2 * d - 2}, got {self.xi}"
+                    f"full graph requires a finite xi > 2d-2 = {2 * d - 2}, got {self.xi}"
                 )
             Lam = 0.5 * (Lam + Lam.T)
             if not matops.is_spd(Lam):
                 raise NonSPDScale("scale matrix is not SPD")
         else:
-            if not (self.xi > 0):
-                raise InvalidShape(f"diag graph requires xi > 0, got {self.xi}")
+            if not (0 < self.xi < np.inf):
+                raise InvalidShape(f"diag graph requires a finite xi > 0, got {self.xi}")
             diag = np.diag(Lam).copy()
-            if np.any(diag <= 0):
-                raise NonSPDScale("diag-graph scale needs a positive diagonal")
+            if not np.all((diag > 0) & np.isfinite(diag)):
+                raise NonSPDScale("diag-graph scale needs a positive, finite diagonal")
             Lam = np.diag(diag)
         Lam.flags.writeable = False
         object.__setattr__(self, "Lambda", Lam)

@@ -5,10 +5,12 @@ order. All state lives in the factor-to-node store; node-to-factor messages
 and posterior naturals are sums over that store, so any fixed point is
 independent of the schedule used to reach it.
 
-The store also reads as one flat vector (``FactorGraph.state``), with one
-fixed slice per stored (factor, node) message in the order the messages were
-first stored; ``load_state`` writes such a vector back through ``store``.
-``FactorGraph.run`` iterates the sweep map on that vector with SQUAREM, the
+The store is one float array with one fixed slice per (factor, node)
+message, laid out in the order the messages were first stored: a first
+``store`` appends the message's slice, later ones write into it.
+``FactorGraph.state`` is a copy of that array and ``load_state`` copies a
+finite array of the same shape back. ``FactorGraph.run`` iterates the sweep
+map on that array with SQUAREM, the
 SqS3 scheme of Varadhan & Roland (2008, "Simple and globally convergent
 methods for accelerating the convergence of any EM algorithm", Scand. J.
 Stat.). A cycle takes two plain sweeps x0 -> x1 -> x2, sets r = x1 - x0,
@@ -105,7 +107,9 @@ class FactorGraph:
         if len(self.factors) != len(factors):
             raise DimensionMismatch("duplicate factor names")
         self.schedule = tuple(f.name for f in factors)
-        self._store = {}
+        # the message store, and each (factor, node) message's slice of it
+        self._store = np.zeros(0)
+        self._slices = {}
         for f in factors:
             for node in f.edges:
                 if node not in self.nodes:
@@ -134,13 +138,22 @@ class FactorGraph:
             raise ImproperMessage(
                 f"message ({factor} -> {node}) contains non-finite entries"
             )
-        self._store[(factor, node)] = message
+        key = (factor, node)
+        if key in self._slices:
+            self._store[self._slices[key]] = message.eta
+        else:
+            start = self._store.size
+            self._slices[key] = slice(start, start + spec.length)
+            self._store = np.concatenate([self._store, message.eta])
 
-    def factor_to_node(self, factor: str, node: str) -> Message:
+    def _slice(self, factor: str, node: str) -> slice:
         try:
-            return self._store[(factor, node)]
+            return self._slices[(factor, node)]
         except KeyError:
             raise MissingMessage(f"no stored message ({factor} -> {node})") from None
+
+    def factor_to_node(self, factor: str, node: str) -> Message:
+        return Message(self._store[self._slice(factor, node)], self.nodes[node].tag)
 
     def node_to_factor(self, node: str, factor: str) -> Message:
         """Sum of messages into ``node`` from all its other factors."""
@@ -149,37 +162,31 @@ class FactorGraph:
         for name in self._incident[node]:
             if name == factor:
                 continue
-            total = total + self.factor_to_node(name, node).eta
+            total = total + self._store[self._slice(name, node)]
         return Message(total, spec.tag)
 
     def q_star(self, node: str) -> Message:
         """Sum of all factor-to-node messages into ``node``; the natural
         vector of the current posterior approximation on it."""
-        spec = self.nodes[node]
-        total = np.zeros(spec.length)
-        for name in self._incident[node]:
-            total = total + self.factor_to_node(name, node).eta
-        return Message(total, spec.tag)
+        return self.node_to_factor(node, None)  # no factor is named None
 
     def state(self) -> np.ndarray:
-        """The stored messages as one flat vector (a copy), in the order
-        they were first stored."""
-        if not self._store:
-            return np.zeros(0)
-        return np.concatenate([m.eta for m in self._store.values()])
+        """A copy of the message store, one slice per message in the order
+        the messages were first stored."""
+        return self._store.copy()
 
     def load_state(self, x):
-        """Store every message from a flat vector laid out as ``state()``,
-        through ``store`` and its length, tag and finiteness checks."""
+        """Overwrite the store with ``x``, laid out as ``state()``. A wrong
+        shape (``DimensionMismatch``) or a non-finite entry
+        (``ImproperMessage``) leaves the store as it was."""
         x = np.asarray(x, dtype=float)
-        size = sum(self.nodes[node].length for _, node in self._store)
-        if x.shape != (size,):
-            raise DimensionMismatch(f"state has shape {x.shape}, the store holds {size} entries")
-        start = 0
-        for factor, node in list(self._store):
-            spec = self.nodes[node]
-            self.store(factor, node, Message(x[start:start + spec.length], spec.tag))
-            start += spec.length
+        if x.shape != self._store.shape:
+            raise DimensionMismatch(
+                f"state has shape {x.shape}, the store holds {self._store.size} entries"
+            )
+        if not np.all(np.isfinite(x)):
+            raise ImproperMessage("state contains non-finite entries")
+        self._store[:] = x
 
     def run(self, tol: float = 1e-8, max_iters: int = 500, schedule=None) -> ConvergenceReport:
         """Iterate sweeps, accelerated by guarded SQUAREM cycles (see the
@@ -257,10 +264,9 @@ class FactorGraph:
         """One sweep from the state ``old`` the store holds. Returns the new
         state and the largest relative change of a stored message entry, inf
         if the sweep stored a message for the first time."""
-        stored = len(self._store)
         self.sweep(schedule)
         new = self.state()
-        if len(self._store) != stored:
+        if new.size != old.size:
             return new, np.inf
         return new, float(np.max(np.abs(new - old) / (np.abs(old) + 1e-10), initial=0.0))
 

@@ -30,6 +30,7 @@ from .errors import (
     DivergentIntegral,
     DomainError,
     InvalidHyperparameter,
+    NotConverged,
     NumericalFailure,
 )
 from .tlmm import TLMMData, TLMMHyper, assemble_design, coefficient_names
@@ -60,6 +61,9 @@ HW_SHAPE = 2.0
 
 # fewest retained draws ``summarize`` accepts
 MIN_SUMMARY_DRAWS = 100
+
+# most secant steps of a moment-matching root find
+_ROOT_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -394,11 +398,42 @@ def match_igw_full(Sigma_draws) -> CommonIGW:
     return CommonIGW(Graph.FULL, xi, 0.5 * (Lam + Lam.T))
 
 
+def _root_in(f, a: float, b: float, xtol: float) -> float:
+    """A root of f in the bracket [a, b], where f(a) and f(b) differ in sign,
+    to within xtol, by Illinois false position (Dowell & Jarratt 1971): the
+    secant point replaces the end whose value has its sign, and an end kept
+    twice in a row has its value halved, so both ends converge."""
+    fa, fb = f(a), f(b)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if (fa > 0) == (fb > 0):
+        raise NumericalFailure("root finding needs a sign change over its bracket")
+    kept = None
+    for _ in range(_ROOT_MAX_STEPS):
+        c = b - fb * (b - a) / (fb - fa)
+        fc = f(c)
+        if fc == 0.0:
+            return c
+        if (fc > 0) == (fb > 0):
+            b, fb = c, fc
+            if kept == "a":
+                fa /= 2.0
+            kept = "a"
+        else:
+            a, fa = c, fc
+            if kept == "b":
+                fb /= 2.0
+            kept = "b"
+        if abs(b - a) < xtol:
+            return c
+    raise NotConverged(f"root finding did not converge in {_ROOT_MAX_STEPS} steps")
+
+
 def _beta_matching_mean(alpha: float, target: float) -> float:
     """The rate at which the two-parameter density has the target mean; the
     mean decreases from infinity to zero as beta rises above alpha."""
-    # imported here: scipy.optimize is slow to load and only fit-mcmc needs it
-    from scipy.optimize import brentq
 
     def mean_at(g):
         return moonrock_mean(MoonRockParams(alpha, alpha + g))
@@ -426,7 +461,7 @@ def _beta_matching_mean(alpha: float, target: float) -> float:
             if hi < 1e-12:
                 break
         lo = hi / 4.0
-    root = brentq(lambda s: mean_at(np.exp(s)) - target, np.log(lo), np.log(hi), xtol=1e-12)
+    root = _root_in(lambda s: mean_at(np.exp(s)) - target, np.log(lo), np.log(hi), xtol=1e-12)
     return alpha + float(np.exp(root))
 
 
@@ -444,8 +479,6 @@ def match_moonrock(draws) -> MoonRockParams:
         raise DomainError("moment matching needs positive mean and variance")
     if v >= m * m:
         return MoonRockParams(0.0, 1.0 / m)
-    # imported here: scipy.optimize is slow to load and only fit-mcmc needs it
-    from scipy.optimize import brentq
 
     def excess(log_alpha):
         alpha = float(np.exp(log_alpha))
@@ -462,7 +495,7 @@ def match_moonrock(draws) -> MoonRockParams:
         lo -= np.log(8.0)
         if lo < np.log(1e-12):
             raise NumericalFailure("variance matching failed to bracket")
-    root = brentq(excess, lo, hi, xtol=1e-10)
+    root = _root_in(excess, lo, hi, xtol=1e-10)
     alpha = float(np.exp(root))
     return MoonRockParams(alpha, _beta_matching_mean(alpha, m))
 

@@ -31,7 +31,24 @@ __all__ = [
     "PriorPlan",
     "plan_prior",
     "equivalent_specs",
+    "check_scales",
 ]
+
+
+def check_scales(values, what: str) -> None:
+    """Raise ``InvalidHyperparameter`` unless every value is positive with a
+    square and a reciprocal square that are finite and nonzero floats, as the
+    priors use them (about 1e-154 to 1e154); beyond that a prior's parameters
+    overflow or vanish."""
+    values = np.asarray(values, dtype=float)
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        squares = values * values
+        inverse = 1.0 / squares
+    if not np.all((values > 0) & np.isfinite(squares) & np.isfinite(inverse)):
+        raise InvalidHyperparameter(
+            f"{what} must be positive, with finite and nonzero squares and "
+            f"reciprocal squares; got {values.tolist()}"
+        )
 
 
 @dataclass(frozen=True)
@@ -84,8 +101,9 @@ class HalfTSpec:
     df: float
 
     def __post_init__(self):
-        if self.scale <= 0 or self.df <= 0:
-            raise InvalidHyperparameter("half-t needs scale, df > 0")
+        check_scales(self.scale, "the half-t scale")
+        if not self.df > 0:
+            raise InvalidHyperparameter("half-t needs df > 0")
 
 
 @dataclass(frozen=True)
@@ -95,8 +113,7 @@ class HalfCauchySpec:
     scale: float
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise InvalidHyperparameter("half-Cauchy needs scale > 0")
+        check_scales(self.scale, "the half-Cauchy scale")
 
 
 @dataclass(frozen=True)
@@ -112,8 +129,9 @@ class HuangWandSpec:
     def __post_init__(self):
         s = tuple(float(v) for v in np.atleast_1d(np.asarray(self.scales, dtype=float)))
         object.__setattr__(self, "scales", s)
-        if any(v <= 0 for v in s) or not s:
-            raise InvalidHyperparameter("Huang-Wand needs positive scales")
+        if not s:
+            raise InvalidHyperparameter("Huang-Wand needs at least one scale")
+        check_scales(s, "Huang-Wand scales")
         if self.nu <= 0:
             raise InvalidHyperparameter("Huang-Wand needs nu > 0")
 
@@ -140,11 +158,11 @@ class MatrixFSpec:
 @dataclass(frozen=True)
 class ConditionalConfig:
     """Configuration of the conditional factor p(Sigma | A) in a two-level
-    plan: its shape, its graph, and the graph of the auxiliary node."""
+    plan: its shape and its graph. The auxiliary node A carries the graph of
+    the plan's prior factor."""
 
     xi: float
     graph: Graph
-    aux_graph: Graph
 
 
 @dataclass(frozen=True)
@@ -182,7 +200,7 @@ def plan_prior(spec) -> PriorPlan:
         lam_aux = 1.0 / (spec.df * spec.scale**2)
         return PriorPlan(
             CommonIGW(Graph.DIAG, 1.0, np.array([[lam_aux]])),
-            ConditionalConfig(spec.df, Graph.FULL, Graph.DIAG),
+            ConditionalConfig(spec.df, Graph.FULL),
         )
     if isinstance(spec, HalfCauchySpec):
         return plan_prior(HalfTSpec(spec.scale, 1.0))
@@ -191,13 +209,13 @@ def plan_prior(spec) -> PriorPlan:
         lam_aux = np.diag(1.0 / (spec.nu * np.asarray(spec.scales) ** 2))
         return PriorPlan(
             CommonIGW(Graph.DIAG, 1.0, lam_aux),
-            ConditionalConfig(spec.nu + 2.0 * d - 2.0, Graph.FULL, Graph.DIAG),
+            ConditionalConfig(spec.nu + 2.0 * d - 2.0, Graph.FULL),
         )
     if isinstance(spec, MatrixFSpec):
         d = spec.B.shape[0]
         return PriorPlan(
             CommonIGW(Graph.FULL, spec.nu + d - 1.0, np.linalg.inv(spec.B)),
-            ConditionalConfig(spec.delta + 2.0 * d - 2.0, Graph.FULL, Graph.FULL),
+            ConditionalConfig(spec.delta + 2.0 * d - 2.0, Graph.FULL),
         )
     raise InvalidHyperparameter(f"unknown prior specification {type(spec).__name__}")
 

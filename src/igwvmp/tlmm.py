@@ -39,7 +39,7 @@ from .errors import (
     NotConverged,
 )
 from .graph_engine import ConvergenceReport, Factor, FactorGraph, Message, Node
-from .prior_specs import HalfCauchySpec, HuangWandSpec, plan_prior
+from .prior_specs import HalfCauchySpec, HuangWandSpec, check_scales, plan_prior
 
 __all__ = [
     "TRUE_BETA",
@@ -139,8 +139,7 @@ class TLMMHyper:
     freedom.
 
     Each must be positive with a square and a reciprocal square that are
-    finite and nonzero floats, as the priors use them (about 1e-154 to
-    1e154); beyond that a prior's parameters overflow or vanish.
+    finite and nonzero floats (``prior_specs.check_scales``).
     """
 
     fixed_scale: float = 1e5
@@ -150,15 +149,9 @@ class TLMMHyper:
 
     def __post_init__(self):
         scales = tuple(float(s) for s in self.random_scales)
-        values = np.array((self.fixed_scale, self.noise_scale, self.df_rate, *scales))
-        with np.errstate(over="ignore", under="ignore", divide="ignore"):
-            squares = values * values
-            inverse = 1.0 / squares
-        if not np.all((values > 0) & np.isfinite(squares) & np.isfinite(inverse)):
-            raise InvalidHyperparameter(
-                "all hyperparameters must be positive, with finite and nonzero "
-                f"squares and reciprocal squares; got {values.tolist()}"
-            )
+        check_scales(
+            (self.fixed_scale, self.noise_scale, self.df_rate, *scales), "all hyperparameters"
+        )
         object.__setattr__(self, "fixed_scale", float(self.fixed_scale))
         object.__setattr__(self, "noise_scale", float(self.noise_scale))
         object.__setattr__(self, "random_scales", scales)

@@ -523,7 +523,7 @@ def test_installed_console_script(tmp_path):
 
 
 # scipy.stats costs about 0.5 s and 22 MB at start-up, scipy.optimize about
-# 0.3 s and 24 MB; only fit-mcmc's moment matching loads scipy.optimize
+# 0.3 s and 24 MB; no command loads either
 HEAVY_SCIPY = """\
 import sys
 print(sorted(m for m in sys.modules
@@ -554,6 +554,16 @@ def test_fit_vmp_leaves_out_scipy_optimize(small_csv, tmp_path):
         f"assert main(['fit-vmp', '--input', {str(small_csv)!r}, '--output', {str(out)!r}]) == 0\n"
     )
     assert run_and_list_heavy_scipy(code) == "[]"
+
+
+def test_fit_mcmc_leaves_out_scipy_optimize(small_csv, tmp_path):
+    out = tmp_path / "fit.json"
+    argv = ["fit-mcmc", "--input", str(small_csv), "--output", str(out)]
+    argv += ["--warmup", "10", "--kept", "100"]
+    code = f"from igwvmp.cli import main\nassert main({argv!r}) == 0\n"
+    assert run_and_list_heavy_scipy(code) == "[]"
+    # alpha > 0: the moment matching solved both of its roots
+    assert json.loads(out.read_text())["upsilon"]["alpha"] > 0
 
 
 def test_module_invocation_help():

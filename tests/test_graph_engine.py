@@ -234,18 +234,28 @@ class TestState:
             graph.load_state([-2.0, np.inf, -2.0, -1.0])
         assert np.array_equal(graph.factor_to_node("likelihood", "noise").eta, before[2:])
 
+    def test_rejected_load_state_leaves_the_store_as_it_was(self):
+        # the only non-finite entry is in the last message's slice
+        graph, _ = conjugate_toy()
+        graph.sweep()
+        before = graph.state()
+        with pytest.raises(ImproperMessage):
+            graph.load_state([-7.0, -8.0, -9.0, np.inf])
+        assert np.array_equal(graph.state(), before)
+
     def test_change_rule_equals_per_message_rule(self):
         # the flat rule is bitwise the per-(factor, node) maximum of
         # |new - old| / (|old| + 1e-10)
         data, _ = tlmm.simulate(seed=11, n_groups=6, group_size=8)
         plain = tlmm.build_graph(data, tlmm.TLMMHyper.diffuse(2))
         ran = tlmm.build_graph(data, tlmm.TLMMHyper.diffuse(2))
+        edges = [(f.name, node) for f in plain.factors.values() for node in f.edges]
         for _ in range(3):
-            old = {k: m.eta for k, m in plain._store.items()}
+            old = {edge: plain.factor_to_node(*edge).eta for edge in edges}
             plain.sweep()
+            new = {edge: plain.factor_to_node(*edge).eta for edge in edges}
             expected = max(
-                float(np.max(np.abs(m.eta - old[k]) / (np.abs(old[k]) + 1e-10)))
-                for k, m in plain._store.items()
+                float(np.max(np.abs(new[e] - old[e]) / (np.abs(old[e]) + 1e-10))) for e in edges
             )
             report = ran.run(tol=1e-10, max_iters=1)
             assert report.changes == (expected,)

@@ -395,6 +395,16 @@ def test_match_moonrock_reproduces_mean_and_variance():
     assert_allclose(moonrock_variance(p), var, rtol=1e-8)
 
 
+def test_bracketed_root():
+    # the root of cos(x) = x, the Dottie number, from either orientation
+    dottie = 0.7390851332151607
+    for a, b in ((0.0, 1.0), (1.0, 0.0)):
+        assert abs(mcmc._root_in(lambda x: np.cos(x) - x, a, b, xtol=1e-12) - dottie) < 1e-12
+    assert mcmc._root_in(lambda x: x, 0.0, 1.0, xtol=1e-12) == 0.0
+    with pytest.raises(NumericalFailure):
+        mcmc._root_in(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
+
+
 def test_summarize_requires_enough_draws():
     rng = np.random.default_rng(0)
     chain = _synthetic_chain(

@@ -8,8 +8,8 @@ from conftest import (
     marginal_variance_density,
     sample_from_plan,
 )
-from igwvmp.distributions import Graph
-from igwvmp.errors import InvalidHyperparameter
+from igwvmp.distributions import CommonIGW, Graph
+from igwvmp.errors import InvalidHyperparameter, InvalidShape, NonSPDScale
 from igwvmp.prior_specs import (
     HalfCauchySpec,
     HalfTSpec,
@@ -31,7 +31,6 @@ def assert_plans_equal(a, b):
     if a.conditional is not None:
         assert a.conditional.xi == b.conditional.xi
         assert a.conditional.graph is b.conditional.graph
-        assert a.conditional.aux_graph is b.conditional.aux_graph
 
 
 class TestPlans:
@@ -62,7 +61,6 @@ class TestPlans:
         assert_allclose(plan.prior_factor.Lambda, [[1.0 / 12.0]])
         assert plan.conditional.xi == 3.0
         assert plan.conditional.graph is Graph.FULL
-        assert plan.conditional.aux_graph is Graph.DIAG
 
     def test_half_cauchy(self):
         plan = plan_prior(HalfCauchySpec(5.0))
@@ -77,7 +75,6 @@ class TestPlans:
         assert_allclose(plan.prior_factor.Lambda, np.diag([0.5, 0.125]))
         assert plan.conditional.xi == 4.0  # nu + 2d - 2 at nu = 2, d = 2
         assert plan.conditional.graph is Graph.FULL
-        assert plan.conditional.aux_graph is Graph.DIAG
 
     def test_matrix_f(self):
         B = np.array([[2.0, 0.0], [0.0, 0.5]])
@@ -86,7 +83,6 @@ class TestPlans:
         assert plan.prior_factor.xi == 4.0  # nu + d - 1
         assert_allclose(plan.prior_factor.Lambda, np.linalg.inv(B))
         assert plan.conditional.xi == 6.0  # delta + 2d - 2
-        assert plan.conditional.aux_graph is Graph.FULL
 
     def test_invalid_hyperparameters(self):
         with pytest.raises(InvalidHyperparameter):
@@ -101,6 +97,38 @@ class TestPlans:
             MatrixFSpec(0.5, 1.0, np.eye(2))
         with pytest.raises(InvalidHyperparameter):
             plan_prior(object())
+
+    @pytest.mark.parametrize(
+        "build, error",
+        [
+            (lambda: plan_prior(HalfTSpec(1e-200, 1.0)), InvalidHyperparameter),
+            (lambda: plan_prior(HalfTSpec(1e200, 1.0)), InvalidHyperparameter),
+            (lambda: plan_prior(HalfTSpec(1.0, np.nan)), InvalidHyperparameter),
+            (lambda: plan_prior(HalfCauchySpec(1e-200)), InvalidHyperparameter),
+            (lambda: plan_prior(HuangWandSpec((1e-200,))), InvalidHyperparameter),
+            (lambda: CommonIGW(Graph.DIAG, 1.0, [[np.nan]]), NonSPDScale),
+            (lambda: CommonIGW(Graph.DIAG, 1.0, [[np.inf]]), NonSPDScale),
+            (lambda: CommonIGW(Graph.DIAG, np.inf, [[1.0]]), InvalidShape),
+            (lambda: CommonIGW(Graph.FULL, np.inf, [[1.0]]), InvalidShape),
+        ],
+        ids=[
+            "half-t-scale-1e-200",
+            "half-t-scale-1e200",
+            "half-t-df-nan",
+            "half-cauchy-scale-1e-200",
+            "huang-wand-scale-1e-200",
+            "diag-nan-scale",
+            "diag-inf-scale",
+            "diag-inf-xi",
+            "full-inf-xi",
+        ],
+    )
+    def test_values_a_prior_cannot_use_are_rejected(self, build, error):
+        # spec scales follow TLMMHyper's rule (a finite, nonzero square and
+        # reciprocal square), so planning neither overflows nor divides by
+        # zero; CommonIGW takes only a finite shape and scale
+        with pytest.raises(error):
+            build()
 
 
 class TestEquivalences:
