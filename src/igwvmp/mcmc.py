@@ -9,10 +9,10 @@ fit.
 """
 
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import matops
 from .distributions import (
@@ -517,5 +517,5 @@ def summarize(chain: ChainOutput) -> ChainSummary:
             float(np.mean(draws)), float(np.std(draws, ddof=1)), z
         )
     # family-wise version of the two-standard-error rule
-    threshold = float(ndtri(1.0 - 0.025 / len(parameters)))
+    threshold = NormalDist().inv_cdf(1.0 - 0.025 / len(parameters))
     return ChainSummary(parameters, bool(worst < threshold), threshold)

@@ -51,6 +51,22 @@ def check_scales(values, what: str) -> None:
         )
 
 
+def _auxiliary_scales(df: float, scales) -> np.ndarray:
+    """1/(df s^2) for each scale s: the scales of a two-level prior's
+    auxiliary factor. Raises ``InvalidHyperparameter`` unless each is
+    positive and finite; df and s can each be valid while df s^2
+    overflows or underflows."""
+    scales = np.asarray(scales, dtype=float)
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        aux = 1.0 / (df * scales * scales)
+    if not np.all((aux > 0) & np.isfinite(aux)):
+        raise InvalidHyperparameter(
+            f"the auxiliary scales 1/(df s^2) must be positive and finite; "
+            f"got {aux.tolist()} from df {df} and scales {scales.tolist()}"
+        )
+    return aux
+
+
 @dataclass(frozen=True)
 class InverseChiSquaredSpec:
     """sigma^2 ~ Inverse-chi^2(delta, lam)."""
@@ -197,18 +213,16 @@ def plan_prior(spec) -> PriorPlan:
         d = spec.Lambda.shape[0]
         return PriorPlan(CommonIGW(Graph.FULL, spec.kappa + d - 1.0, spec.Lambda))
     if isinstance(spec, HalfTSpec):
-        lam_aux = 1.0 / (spec.df * spec.scale**2)
         return PriorPlan(
-            CommonIGW(Graph.DIAG, 1.0, np.array([[lam_aux]])),
+            CommonIGW(Graph.DIAG, 1.0, np.diag(_auxiliary_scales(spec.df, [spec.scale]))),
             ConditionalConfig(spec.df, Graph.FULL),
         )
     if isinstance(spec, HalfCauchySpec):
         return plan_prior(HalfTSpec(spec.scale, 1.0))
     if isinstance(spec, HuangWandSpec):
         d = len(spec.scales)
-        lam_aux = np.diag(1.0 / (spec.nu * np.asarray(spec.scales) ** 2))
         return PriorPlan(
-            CommonIGW(Graph.DIAG, 1.0, lam_aux),
+            CommonIGW(Graph.DIAG, 1.0, np.diag(_auxiliary_scales(spec.nu, spec.scales))),
             ConditionalConfig(spec.nu + 2.0 * d - 2.0, Graph.FULL),
         )
     if isinstance(spec, MatrixFSpec):

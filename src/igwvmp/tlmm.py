@@ -110,9 +110,9 @@ class TLMMData:
             raise DimensionMismatch("data must contain at least one observation")
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x))):
             raise DomainError("y and x must be finite (no NaN or infinity)")
-        m = int(group.max()) + 1
-        present = np.unique(group)
-        if group.min() < 0 or present.size != m:
+        # the sorted labels start at 0 and step by at most 1; np.unique
+        # would import numpy.ma (about 12 ms) on every command
+        if group.min() != 0 or np.any(np.diff(np.sort(group)) > 1):
             raise DimensionMismatch(
                 "group labels must cover 0..m-1 with every label present"
             )

@@ -522,48 +522,94 @@ def test_installed_console_script(tmp_path):
     assert path.exists()
 
 
-# scipy.stats costs about 0.5 s and 22 MB at start-up, scipy.optimize about
-# 0.3 s and 24 MB; no command loads either
-HEAVY_SCIPY = """\
+# the package computes its own special functions; importing scipy.special
+# alone cost about 0.23 s and 24 MB of start-up
+SCIPY_MODULES = """\
 import sys
-print(sorted(m for m in sys.modules
-             if m.split(".")[:2] in (["scipy", "stats"], ["scipy", "optimize"])))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+# a first finder on sys.meta_path that fails every scipy import
+BLOCK_SCIPY = """\
+import sys
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
 """
 
 
-def run_and_list_heavy_scipy(code):
+def run_python(code):
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
-        [sys.executable, "-c", code + HEAVY_SCIPY],
+        [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1]
+    return proc.stdout
 
 
-def test_package_import_leaves_out_scipy_stats_and_optimize():
-    assert run_and_list_heavy_scipy("import igwvmp.cli, igwvmp.mcmc, igwvmp.tlmm\n") == "[]"
+def run_and_list_scipy(code):
+    return run_python(code + SCIPY_MODULES).splitlines()[-1]
 
 
-def test_fit_vmp_leaves_out_scipy_optimize(small_csv, tmp_path):
+def test_package_import_leaves_out_scipy():
+    assert run_and_list_scipy("import igwvmp.cli, igwvmp.mcmc, igwvmp.tlmm\n") == "[]"
+
+
+def test_fit_vmp_leaves_out_scipy(small_csv, tmp_path):
     out = tmp_path / "fit.json"
     code = (
         "from igwvmp.cli import main\n"
         f"assert main(['fit-vmp', '--input', {str(small_csv)!r}, '--output', {str(out)!r}]) == 0\n"
     )
-    assert run_and_list_heavy_scipy(code) == "[]"
+    assert run_and_list_scipy(code) == "[]"
 
 
-def test_fit_mcmc_leaves_out_scipy_optimize(small_csv, tmp_path):
+def test_fit_mcmc_leaves_out_scipy(small_csv, tmp_path):
     out = tmp_path / "fit.json"
     argv = ["fit-mcmc", "--input", str(small_csv), "--output", str(out)]
     argv += ["--warmup", "10", "--kept", "100"]
     code = f"from igwvmp.cli import main\nassert main({argv!r}) == 0\n"
-    assert run_and_list_heavy_scipy(code) == "[]"
+    assert run_and_list_scipy(code) == "[]"
     # alpha > 0: the moment matching solved both of its roots
     assert json.loads(out.read_text())["upsilon"]["alpha"] > 0
+
+
+def test_compare_leaves_out_scipy(small_csv, tmp_path):
+    argv = ["compare", "--input", str(small_csv), "--output", str(tmp_path / "cmp.json")]
+    argv += ["--warmup", "10", "--kept", "100"]
+    code = f"from igwvmp.cli import main\nassert main({argv!r}) == 0\n"
+    assert run_and_list_scipy(code) == "[]"
+
+
+def test_commands_run_without_scipy(small_csv, tmp_path):
+    chain = ["--warmup", "10", "--kept", "200"]
+    runs = [
+        ["simulate", "--output", str(tmp_path / "sim.csv"), "--m", "3"],
+        ["fit-vmp", "--input", str(small_csv), "--output", str(tmp_path / "vmp.json")],
+        ["fit-mcmc", "--input", str(small_csv), "--output", str(tmp_path / "mcmc.json"), *chain],
+        ["compare", "--input", str(small_csv), "--output", str(tmp_path / "cmp.json"), *chain],
+    ]
+    code = BLOCK_SCIPY + (
+        "try:\n"
+        "    import scipy\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('scipy was importable')\n"
+        "from igwvmp.cli import main\n"
+        f"print([main(argv) for argv in {runs!r}])\n"
+    )
+    assert run_python(code).splitlines()[-1] == "[0, 0, 0, 0]"
 
 
 def test_module_invocation_help():

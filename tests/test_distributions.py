@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
 from scipy.integrate import IntegrationWarning, quad
-from scipy.special import digamma, gammaln, xlogy
+from scipy.special import digamma, gammaln, polygamma, xlogy, zeta
 
 from oracles import NaturalMVN, igw_log_density, mvn_from_natural, mvn_to_natural, vec
 from igwvmp import distributions as dist
@@ -40,6 +40,140 @@ def random_igw(graph, d, rng):
         return CommonIGW(graph, xi, random_spd(d, rng))
     xi = 0.5 + 5 * rng.uniform()
     return CommonIGW(graph, xi, np.diag(rng.uniform(0.5, 3.0, d)))
+
+
+# ---------------------------------------------------------------------------
+# special functions, with scipy.special as the oracle
+# ---------------------------------------------------------------------------
+
+# t from e^-690 to 30, and dense around the zeros of lgamma at 1 and 2
+LGAMMA_POINTS = np.concatenate(
+    (
+        np.exp(np.linspace(-690.0, np.log(30.0), 4001)),
+        np.linspace(0.9, 1.1, 401),
+        np.linspace(1.9, 2.1, 401),
+    )
+)
+
+# the final q(nu/2) of the four standard sets (simulate(seed=1,
+# group_size=15) at m = 10, 20, 40, and at m = 10 with df 100), each scaled
+# by 0.01 to 100, and eight edge pairs: alpha = 0, beta / alpha - 1 from
+# 1e-4 to 0.1, and alpha up to 1.5e5
+STANDARD_DF_HALF = [
+    (150.0, 255.19713768345684),
+    (300.0, 465.18745850017297),
+    (600.0, 926.0972210025305),
+    (150.0, 150.6716681206916),
+]
+MOON_ROCK_PAIRS = [
+    (a * c, b * c) for a, b in STANDARD_DF_HALF for c in (0.01, 0.1, 1.0, 10.0, 100.0)
+]
+MOON_ROCK_PAIRS += [
+    (0.0, 1.0),
+    (0.0, 1e-2),
+    (0.0, 1e3),
+    (1e-2, 1.1e-2),
+    (1.0, 1.0001),
+    (300.0, 301.0),
+    (1e4, 1.0001e4),
+    (1.5e5, 1.6e5),
+]
+
+
+def scipy_moonrock_step(alpha, beta):
+    """``_moonrock_step`` as it was written on scipy.special's digamma and
+    Hurwitz zeta: the same start, three Newton steps and curvature."""
+    if alpha == 0.0:
+        s = np.log(1.0 / beta)
+    else:
+        r = beta / alpha - 1.0
+        if r > 3.0:
+            start = 2.0 / (np.hypot(r - 3.0, np.sqrt(24.0 * r)) + r - 3.0)
+        else:
+            start = (3.0 - r + np.sqrt((r - 3.0) ** 2 + 24.0 * r)) / (12.0 * r)
+        s = np.log(start)
+        for _ in range(3):
+            t = np.exp(s)
+            s -= (s - digamma(t) - r) / (1.0 - t * zeta(2.0, t))
+    t = np.exp(s)
+    curv = t * (beta - alpha * (np.log(t) + 1.0 - digamma(t)))
+    if alpha != 0.0:
+        curv += alpha * t * (t * zeta(2.0, t) - 1.0)
+    return s, 1.0 / np.sqrt(curv) if curv > 1.0 else 1.0
+
+
+def assert_within_5e14_or_one_ulp(actual, expected):
+    # below t = 1e-111, lgamma(t) exceeds 256, where one ulp is 5.7e-14
+    assert np.all(np.abs(actual - expected) <= np.maximum(5e-14, np.spacing(np.abs(expected))))
+
+
+class TestSpecialFunctions:
+    def test_lgamma_against_scipy(self):
+        t = LGAMMA_POINTS
+        assert_within_5e14_or_one_ulp(dist._lgamma(t), gammaln(t))
+        large = np.logspace(np.log10(30.0), 300.0, 1001)
+        assert_allclose(dist._lgamma(large), gammaln(large), rtol=1e-14, atol=0.0)
+
+    def test_xlogx_minus_lgamma_against_scipy(self):
+        t = LGAMMA_POINTS
+        got = dist._xlogx_minus_lgamma(t, np.log(t))
+        assert_within_5e14_or_one_ulp(got, xlogy(t, t) - gammaln(t))
+        # above 30 the direct difference loses a digit or two, up to 1e4
+        t = np.logspace(np.log10(30.0), 4.0, 1001)
+        got = dist._xlogx_minus_lgamma(t, np.log(t))
+        assert_allclose(got, xlogy(t, t) - gammaln(t), rtol=1e-13, atol=0.0)
+
+    def test_digamma_trigamma_against_scipy(self):
+        x = np.logspace(-300.0, 15.0, 4001)
+        got = np.array([dist._digamma_trigamma(float(v)) for v in x])
+        # psi'(x) ~ 1/x^2 overflows to inf below about 1e-154, in both
+        assert_allclose(got[:, 0], digamma(x), rtol=1e-13, atol=0.0)
+        assert_allclose(got[:, 1], polygamma(1, x), rtol=1e-13, atol=0.0)
+
+    def test_digamma_near_its_zero(self):
+        # psi has its zero at 1.4616...; there the recurrence's sum of terms
+        # of size 2 bounds the error in absolute terms
+        x = np.linspace(1.0, 2.0, 1001)
+        got = np.array([dist._digamma_trigamma(float(v))[0] for v in x])
+        assert np.max(np.abs(got - digamma(x))) <= 2e-15
+
+    @pytest.mark.parametrize("delta", [0.0, -1.0, -np.inf, np.nan])
+    def test_mean_log_rejects_a_shape_outside_its_domain(self, delta):
+        # psi's recurrence would divide by zero, or never end at -inf
+        with pytest.raises(DomainError):
+            dist.inv_chisq_mean_log(delta, 1.0)
+        with pytest.raises(DomainError):
+            dist.inv_chisq_mean_log(np.array([2.0, delta]), 1.0)
+
+    @pytest.mark.parametrize("ab", MOON_ROCK_PAIRS)
+    def test_moonrock_step_against_scipy(self, ab):
+        assert_allclose(dist._moonrock_step(*ab), scipy_moonrock_step(*ab), rtol=1e-12, atol=0.0)
+
+    def test_scalar_inputs_give_python_floats(self):
+        values = [
+            *dist._digamma_trigamma(2.5),
+            dist.inv_chisq_mean_log(3.0, 2.0),
+            dist.inv_chisq_mean_log(np.float64(3.0), np.float64(2.0)),
+            dist.inv_chisq_log_density(3.0, 2.0, 1.0),
+            dist.inv_chisq_log_density(np.float64(3.0), 2.0, np.float64(1.0)),
+            dist.inv_chisq_sqrt_mean(3.0, 2.0),
+            dist.inv_chisq_sqrt_sd(3.0, 2.0),
+            dist._moonrock_center(4.0, 5.0),
+            *dist._moonrock_step(4.0, 5.0),
+        ]
+        assert all(type(v) is float for v in values)
+
+    def test_inv_chisq_functions_broadcast(self):
+        delta = np.array([[0.5], [3.0], [250.0]])
+        lam = np.array([0.1, 2.0])
+        x = np.array([[[0.3]], [[4.0]]])
+        mean_log = dist.inv_chisq_mean_log(delta, lam)
+        assert mean_log.shape == (3, 2)
+        assert_allclose(mean_log, np.log(lam / 2.0) - digamma(delta / 2.0), rtol=1e-14)
+        log_density = dist.inv_chisq_log_density(delta, lam, x)
+        assert log_density.shape == (2, 3, 2)
+        expected = stats.invgamma.logpdf(x, delta / 2.0, scale=lam / 2.0)
+        assert_allclose(log_density, expected, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -508,7 +508,10 @@ def test_summarize_threshold_equals_normal_quantile(n_coefficients):
     )
     s = mcmc.summarize(chain)
     n = len(s.parameters)
-    assert s.z_threshold == float(norm.ppf(1.0 - 0.025 / n))
+    # the package's quantile (statistics.NormalDist, Wichura's AS 241) and
+    # scipy's differ in the last bit at some n
+    assert isinstance(s.z_threshold, float)
+    np.testing.assert_array_max_ulp(s.z_threshold, norm.ppf(1.0 - 0.025 / n), maxulp=2)
 
 
 def test_summarize_derived_parameters(small_chain):

@@ -106,6 +106,10 @@ class TestPlans:
             (lambda: plan_prior(HalfTSpec(1.0, np.nan)), InvalidHyperparameter),
             (lambda: plan_prior(HalfCauchySpec(1e-200)), InvalidHyperparameter),
             (lambda: plan_prior(HuangWandSpec((1e-200,))), InvalidHyperparameter),
+            (lambda: plan_prior(HalfTSpec(1e-150, 1e-100)), InvalidHyperparameter),
+            (lambda: plan_prior(HalfTSpec(1e150, 1e100)), InvalidHyperparameter),
+            (lambda: plan_prior(HuangWandSpec((1e-150,), 1e-100)), InvalidHyperparameter),
+            (lambda: plan_prior(HuangWandSpec((1e150,), 1e100)), InvalidHyperparameter),
             (lambda: CommonIGW(Graph.DIAG, 1.0, [[np.nan]]), NonSPDScale),
             (lambda: CommonIGW(Graph.DIAG, 1.0, [[np.inf]]), NonSPDScale),
             (lambda: CommonIGW(Graph.DIAG, np.inf, [[1.0]]), InvalidShape),
@@ -117,6 +121,10 @@ class TestPlans:
             "half-t-df-nan",
             "half-cauchy-scale-1e-200",
             "huang-wand-scale-1e-200",
+            "half-t-aux-scale-overflows",
+            "half-t-aux-scale-underflows",
+            "huang-wand-aux-scale-overflows",
+            "huang-wand-aux-scale-underflows",
             "diag-nan-scale",
             "diag-inf-scale",
             "diag-inf-xi",
@@ -125,8 +133,9 @@ class TestPlans:
     )
     def test_values_a_prior_cannot_use_are_rejected(self, build, error):
         # spec scales follow TLMMHyper's rule (a finite, nonzero square and
-        # reciprocal square), so planning neither overflows nor divides by
-        # zero; CommonIGW takes only a finite shape and scale
+        # reciprocal square), and planning checks the auxiliary scale
+        # 1/(df s^2), which a valid df and s can still overflow or
+        # underflow; CommonIGW takes only a finite shape and scale
         with pytest.raises(error):
             build()
 

@@ -278,8 +278,9 @@ def test_coefficient_names():
 def test_data_validation():
     with pytest.raises(DimensionMismatch):
         tlmm.TLMMData(np.zeros(3), np.zeros(2), np.zeros(3, dtype=int))
-    with pytest.raises(DimensionMismatch):
-        tlmm.TLMMData(np.zeros(3), np.zeros(3), np.array([0, 2, 2]))
+    for labels in ([0, 2, 2], [1, 2, 2], [-1, 0, 1]):
+        with pytest.raises(DimensionMismatch):
+            tlmm.TLMMData(np.zeros(3), np.zeros(3), np.array(labels))
     with pytest.raises(DimensionMismatch):
         tlmm.TLMMData(np.zeros(3), np.zeros(3), np.array([0.0, 0.5, 1.0]))
     data = tlmm.TLMMData(np.zeros(3), np.zeros(3), np.array([1, 0, 1]))
