@@ -23,7 +23,7 @@ The Gaussian coefficient node of the mixed model has an arrowhead
 precision: p x p fixed-effect entries, m border blocks of p x q and m
 diagonal q x q blocks, with zeros elsewhere. ``Arrowhead`` holds those
 blocks; ``ravel_arrowhead`` and ``unravel_arrowhead`` map them to and from
-one flat vector; and ``arrowhead_cholesky`` with its solves and moments
+one flat vector; and ``arrowhead_cholesky`` with ``arrowhead_moments``
 works on them in O(m) time and memory.
 """
 
@@ -46,8 +46,6 @@ __all__ = [
     "ravel_arrowhead",
     "unravel_arrowhead",
     "arrowhead_cholesky",
-    "arrowhead_forward",
-    "arrowhead_backward",
     "arrowhead_moments",
     "duplication",
     "is_spd",
@@ -152,10 +150,15 @@ def duplication(d: int) -> np.ndarray:
     return D
 
 
+# relative margin of the SPD rule: see ``spd_threshold``
+SPD_MARGIN = 1e-12
+
+
 def spd_threshold(diagonal: np.ndarray) -> float:
-    """1e-12 times the largest diagonal entry (0 if none is positive): the
-    margin by which every eigenvalue of an SPD matrix must exceed zero."""
-    return 1e-12 * max(float(diagonal.max()), 0.0)
+    """``SPD_MARGIN`` times the largest diagonal entry (0 if none is
+    positive): the margin by which every eigenvalue of an SPD matrix must
+    exceed zero."""
+    return SPD_MARGIN * max(float(diagonal.max()), 0.0)
 
 
 def is_spd(M: np.ndarray) -> bool:
@@ -272,24 +275,6 @@ def arrowhead_cholesky(a: Arrowhead, shift: float = 0.0) -> ArrowheadCholesky:
     if not math.isfinite(L.sum() + L_c.sum()):
         raise np.linalg.LinAlgError("arrowhead matrix is not finite")
     return ArrowheadCholesky(L, L_inv, K, L_c, np.linalg.inv(L_c))
-
-
-def arrowhead_forward(L: ArrowheadCholesky, r: np.ndarray) -> np.ndarray:
-    """L^{-1} r, with r and the result in corner-first order (corner
-    entries, then group 1, ..., group m)."""
-    p = L.corner.shape[0]
-    v_groups = (L.blocks_inv @ r[p:].reshape(-1, L.blocks.shape[-1], 1)).ravel()
-    v_corner = L.corner_inv @ (r[:p] - L.border @ v_groups)
-    return np.concatenate((v_corner, v_groups))
-
-
-def arrowhead_backward(L: ArrowheadCholesky, v: np.ndarray) -> np.ndarray:
-    """L^{-T} v, in the same order as ``arrowhead_forward``."""
-    p = L.corner.shape[0]
-    x_corner = L.corner_inv.T @ v[:p]
-    w = v[p:] - L.border.T @ x_corner
-    x_groups = np.swapaxes(L.blocks_inv, -1, -2) @ w.reshape(-1, L.blocks.shape[-1], 1)
-    return np.concatenate((x_corner, x_groups.ravel()))
 
 
 def arrowhead_moments(L: ArrowheadCholesky, h: np.ndarray, dense: bool = False):

@@ -8,6 +8,7 @@ grid. The sampler serves as a simulation ground truth for the variational
 fit.
 """
 
+import math
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import NamedTuple, Optional
@@ -19,7 +20,6 @@ from .distributions import (
     CommonIGW,
     Graph,
     MoonRockParams,
-    igw_sample,
     inv_chisq_sample,
     moonrock_mean,
     moonrock_slice_update,
@@ -30,6 +30,8 @@ from .errors import (
     DivergentIntegral,
     DomainError,
     InvalidHyperparameter,
+    InvalidShape,
+    NonSPDScale,
     NotConverged,
     NumericalFailure,
 )
@@ -113,6 +115,111 @@ class ChainSummary:
 
 
 # ---------------------------------------------------------------------------
+# closed-form q x q and p x p algebra
+# ---------------------------------------------------------------------------
+#
+# The sampler's designs have p = 2 fixed effects and q = 1 or 2 random
+# effects per group, so every dense matrix it factors or inverts is 1 x 1 or
+# 2 x 2. A symmetric matrix is passed as its vech, (s11,) or (s11, s21, s22),
+# of Python floats for one matrix or of arrays over the m groups; a lower
+# triangular factor likewise as (l11,) or (l11, l21, l22). Formulas on
+# Python floats cost a fraction of a numpy call each. Python floats
+# overflow to inf without raising, and the float formulas divide only by
+# pivots checked to be positive, so a failure shows in the checks below
+# rather than as ZeroDivisionError; the array formulas run under
+# ``np.errstate``, so it shows as NaN or an infinity rather than a warning.
+
+
+def _symmetric_vech(M: np.ndarray) -> tuple:
+    """Python floats of the vech of (M + M^T)/2 for a 1 x 1 or 2 x 2 M."""
+    if M.shape == (1, 1):
+        return (float(M[0, 0]),)
+    if M.shape != (2, 2):
+        raise DimensionMismatch(f"the sampler's algebra is 1 x 1 or 2 x 2, got {M.shape}")
+    (a, b), (c, d) = M.tolist()
+    return a, 0.5 * (b + c), d
+
+
+def _vech_matrix(v: tuple) -> np.ndarray:
+    """The symmetric matrix with vech v."""
+    if len(v) == 1:
+        return np.array([[v[0]]])
+    return np.array([[v[0], v[1]], [v[1], v[2]]])
+
+
+def _is_spd(v: tuple) -> bool:
+    """``matops.is_spd``'s verdict on the symmetric matrix with vech v, in
+    closed form: S = 2M, less ``spd_threshold`` of its diagonal on the
+    diagonal, has a Cholesky factor, and the entries of S sum to a finite
+    number."""
+    if len(v) == 1:
+        s = v[0] + v[0]
+        # s less its margin, s (1 - SPD_MARGIN), is positive exactly when s is
+        return 0.0 < s < math.inf
+    a, b, c = v[0] + v[0], v[1] + v[1], v[2] + v[2]
+    if not math.isfinite(a + b + b + c):
+        return False
+    t = matops.SPD_MARGIN * max(a, c, 0.0)
+    a -= t
+    if not a > 0.0:
+        return False
+    b /= math.sqrt(a)
+    return c - t - b * b > 0.0
+
+
+def _cholesky(v: tuple, what: str) -> tuple:
+    """The lower Cholesky factor of the symmetric matrix with vech v (Python
+    floats). Raises NumericalFailure, naming ``what``, where
+    ``np.linalg.cholesky`` fails (a pivot that is not positive, or NaN) or
+    gives a non-finite factor."""
+    a = v[0]
+    if not 0.0 < a < math.inf:
+        raise NumericalFailure(f"{what} is not SPD")
+    l11 = math.sqrt(a)
+    if len(v) == 1:
+        return (l11,)
+    l21 = v[1] / l11
+    d = v[2] - l21 * l21  # -inf or NaN when l21 is not finite
+    if not 0.0 < d < math.inf:
+        raise NumericalFailure(f"{what} is not SPD")
+    return l11, l21, math.sqrt(d)
+
+
+def _group_factors(d: tuple) -> tuple:
+    """The lower Cholesky factors of m matrices, their vech entries ``d``
+    given as arrays over the groups, with no check: a pivot that is not
+    positive, or NaN, leaves a zero, NaN or an infinity in the factor and
+    NaN or an infinity in every solve with it. Call it under
+    ``np.errstate(all="ignore")``."""
+    l11 = np.sqrt(d[0])
+    if len(d) == 1:
+        return (l11,)
+    l21 = d[1] / l11
+    return l11, l21, np.sqrt(d[2] - l21 * l21)
+
+
+# positions of the vech entries in a row-major q x q matrix
+_VECH_OFFSETS = {1: (0,), 2: (0, 2, 3)}
+
+
+def _lower_solve(L: tuple, r: tuple) -> tuple:
+    """x with L x = r, for a factor L and r as tuples of q floats or arrays
+    (one entry of r per row of L)."""
+    x0 = r[0] / L[0]
+    if len(L) == 1:
+        return (x0,)
+    return x0, (r[1] - L[1] * x0) / L[2]
+
+
+def _upper_solve(L: tuple, r: tuple) -> tuple:
+    """x with L^T x = r; see ``_lower_solve``."""
+    if len(L) == 1:
+        return (r[0] / L[0],)
+    x1 = r[1] / L[2]
+    return (r[0] - L[1] * x1) / L[0], x1
+
+
+# ---------------------------------------------------------------------------
 # full conditionals
 # ---------------------------------------------------------------------------
 
@@ -120,24 +227,63 @@ class ChainSummary:
 def draw_coefficients(rng, y, design, b, sigma2, Sigma_inv, fixed_scale):
     """(beta, u) | rest is Gaussian with precision M = C'WC/sigma2 plus the
     prior block diagonal (Sigma^{-1} per group), W = diag(1/b), and mean
-    M^{-1} C'Wy/sigma2; C is the index-form ``design``. M is an arrowhead,
-    factored M = L L' by ``matops.arrowhead_cholesky``; with z standard
-    normal the draw is L^{-T}(L^{-1} C'Wy/sigma2 + z)."""
+    M^{-1} r, r = C'Wy/sigma2; C is the index-form ``design``.
+
+    M is an arrowhead with corner P (p x p), borders B_i (p x q) and group
+    blocks D_i (q x q). With the groups ordered first, M = L L' has no
+    fill (as in ``matops.arrowhead_cholesky``): L_i L_i' = D_i,
+    K_i = B_i L_i^{-T} and L_c L_c' = P - sum_i K_i K_i'. With z standard
+    normal the draw is L^{-T}(L^{-1} r + z): forward, v_i = L_i^{-1} r_i
+    and v_c = L_c^{-1}(r_c - sum_i K_i v_i); backward, x_c = L_c^{-T}(v_c +
+    z_c) and x_i = L_i^{-T}(v_i + z_i - K_i' x_c). The group factors and
+    solves are closed forms on arrays over the m groups; the sums over
+    groups come from one matrix product, and the corner's algebra is on
+    floats. As ``matops.arrowhead_cholesky``, the draw raises
+    NumericalFailure unless every factor exists and is finite: a NaN or
+    infinite group factor fails a dot product of its pivots, and a zero
+    pivot leaves an infinity or NaN in K_i, so the corner's factorization
+    fails.
+    """
     p, q, m = design.n_fixed, design.n_random, design.n_groups
-    w = 1.0 / b
-    cross_y, gram = design.weighted_cross(w, y)
-    CtWC = matops.unravel_arrowhead(gram, p, q, m)
-    M = matops.Arrowhead(
-        CtWC.corner / sigma2 + np.eye(p) / fixed_scale**2,
-        CtWC.border / sigma2,
-        CtWC.blocks / sigma2 + 0.5 * (Sigma_inv + Sigma_inv.T),
-    )
-    try:
-        L = matops.arrowhead_cholesky(M)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("coefficient conditional precision is not SPD") from exc
-    z = rng.standard_normal(design.n_coefficients)
-    return matops.arrowhead_backward(L, matops.arrowhead_forward(L, cross_y / sigma2) + z)
+    if p != 2 or q not in (1, 2):
+        raise DimensionMismatch(f"the sampler needs p = 2 and q = 1 or 2, got p={p}, q={q}")
+    if Sigma_inv.shape != (q, q):
+        raise DimensionMismatch(f"Sigma_inv must be {q} x {q}, got {Sigma_inv.shape}")
+    prior = _symmetric_vech(Sigma_inv)
+    pq, start = p * q, p * p + m * p * q
+    with np.errstate(all="ignore"):
+        # C'WC/sigma2 and C'Wy/sigma2, raveled as ``matops.ravel_arrowhead``:
+        # P, then each B_i and each D_i row-major
+        r, gram = design.weighted_cross(1.0 / (sigma2 * b), y)
+        L = _group_factors(
+            tuple(gram[start + k :: q * q] + s for k, s in zip(_VECH_OFFSETS[q], prior))
+        )
+        what = "coefficient conditional precision"
+        if not math.isfinite(L[0] @ L[-1]):
+            raise NumericalFailure(f"{what} is not SPD")
+        # column j of the right-hand sides: B_i's column j as p rows, then r_i's
+        # entry j, each over the groups
+        rhs = np.empty((q, p + 1, m))
+        rhs[:, :p] = gram[p * p : start].reshape(m, p, q).T
+        rhs[:, p] = r[p:].reshape(m, q).T
+        # rows: K_i's row a, then v_i, with their q columns side by side
+        KV = np.concatenate(_lower_solve(L, tuple(rhs)), axis=1)
+        (k11, k12, kv1), (_, k22, kv2), _ = (KV @ KV.T).tolist()
+        p11, _, p21, p22 = gram[: p * p].tolist()
+        f = 1.0 / fixed_scale**2
+        Lc = _cholesky((p11 + f - k11, p21 - k12, p22 + f - k22), what)
+        r1, r2 = r[:p].tolist()
+        v_c = _lower_solve(Lc, (r1 - kv1, r2 - kv2))
+        z = rng.standard_normal(p + m * q)
+        z1, z2 = z[:p].tolist()
+        x_c = _upper_solve(Lc, (v_c[0] + z1, v_c[1] + z2))
+        w = (KV[p] - x_c @ KV[:p]).reshape(q, m) + z[p:].reshape(m, q).T
+        x = _upper_solve(L, tuple(w))
+    theta = np.empty(p + m * q)
+    theta[:p] = x_c
+    for j in range(q):
+        theta[p + j :: q] = x[j]
+    return theta
 
 
 def draw_scale_mixture(rng, resid, sigma2, upsilon):
@@ -155,32 +301,63 @@ def draw_noise_auxiliary(rng, sigma2, noise_scale):
     return inv_chisq_sample(2.0, 1.0 / sigma2 + 1.0 / noise_scale**2, rng)
 
 
-def draw_random_cov(rng, u, A_diag):
-    """Sigma | rest is inverse Wishart with shape 2q + m in the xi
-    convention; u is the m x q matrix of current random effects."""
-    q = A_diag.size
-    Lam = np.diag(1.0 / A_diag) + u.T @ u
-    Lam = 0.5 * (Lam + Lam.T)
-    draw = igw_sample(CommonIGW(Graph.FULL, 2.0 * q + u.shape[0], Lam), rng)
-    if not matops.is_spd(draw):
+def draw_random_cov(rng, xi, Lam):
+    """Sigma | rest, inverse Wishart with shape xi and scale Lam in the xi
+    convention; returns (Sigma, Sigma^{-1}). ``gibbs_fit`` passes
+    xi = 2q + m and Lam = diag(1/A) + sum_i u_i u_i'.
+
+    As in ``igw_sample``: with R R' = Lam and A the lower-triangular
+    Bartlett factor of a Wishart(xi - q + 1, I) draw, Sigma = (R A^{-T})
+    (R A^{-T})' and, from the same factors, Sigma^{-1} = (R^{-T} A)
+    (R^{-T} A)', both in closed form. The random draws are those of
+    ``igw_sample``. Raises InvalidShape unless 2q - 2 < xi < inf,
+    NonSPDScale unless Lam passes ``matops.is_spd``, and NumericalFailure
+    when a Bartlett pivot is zero, Sigma fails ``matops.is_spd`` or
+    Sigma^{-1} is not finite.
+    """
+    q = Lam.shape[0]
+    lam = _symmetric_vech(Lam)
+    if not 2 * q - 2 < xi < math.inf:
+        raise InvalidShape(f"full graph requires a finite xi > 2d-2 = {2 * q - 2}, got {xi}")
+    if not _is_spd(lam):
+        raise NonSPDScale("scale matrix is not SPD")
+    R = _cholesky(lam, "scale matrix")
+    z = rng.standard_normal((1, q * (q - 1) // 2))
+    chi2 = rng.chisquare([xi - q + 1.0 - j for j in range(q)], (1, q))
+    (pivots,) = chi2.tolist()
+    if not min(pivots) > 0.0:
+        raise NumericalFailure("a Bartlett pivot of the covariance draw is zero")
+    if q == 1:
+        ratio, inverse = R[0] / math.sqrt(pivots[0]), math.sqrt(pivots[0]) / R[0]
+        sigma, sigma_inv = (ratio * ratio,), (inverse * inverse,)
+    else:
+        r11, r21, r22 = R
+        a11, a22 = math.sqrt(pivots[0]), math.sqrt(pivots[1])
+        ((a21,),) = z.tolist()
+        # B = R A^{-T} solves B A' = R row by row
+        b11 = r11 / a11
+        b12 = -b11 * a21 / a22
+        b21 = r21 / a11
+        b22 = (r22 - b21 * a21) / a22
+        sigma = (b11 * b11 + b12 * b12, b21 * b11 + b22 * b12, b21 * b21 + b22 * b22)
+        # C = R^{-T} A solves R' C = A column by column
+        c21 = a21 / r22
+        c22 = a22 / r22
+        c11 = (a11 - r21 * c21) / r11
+        c12 = -r21 * c22 / r11
+        sigma_inv = (c11 * c11 + c12 * c12, c21 * c11 + c22 * c12, c21 * c21 + c22 * c22)
+    if not _is_spd(sigma):
         raise NumericalFailure("covariance draw is not SPD")
-    return draw
-
-
-def _inverse_cov(Sigma):
-    """Sigma^{-1} of a covariance draw, which both ``draw_cov_auxiliary`` and
-    ``draw_coefficients`` read."""
-    try:
-        return np.linalg.inv(Sigma)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("random-effects covariance draw is singular") from exc
+    if not math.isfinite(sum(sigma_inv)):
+        raise NumericalFailure("random-effects covariance draw is singular")
+    return _vech_matrix(sigma), _vech_matrix(sigma_inv)
 
 
 def draw_cov_auxiliary(rng, Sigma_inv, scales):
     """A_jj | rest are independent inverse-chi^2; the shape q + 2 combines
     the prior's 1 with the conditional covariance level."""
     q = scales.size
-    lam = np.diag(Sigma_inv) + 1.0 / (HW_SHAPE * scales**2)
+    lam = Sigma_inv.diagonal() + 1.0 / (HW_SHAPE * scales**2)
     return inv_chisq_sample(q + 2.0, lam, rng, size=q)
 
 
@@ -259,8 +436,9 @@ def gibbs_fit(
         sigma2 = draw_noise_variance(rng, resid, b, a_aux)
         a_aux = draw_noise_auxiliary(rng, sigma2, hyper.noise_scale)
         u = theta[p:].reshape(m, q)
-        Sigma = draw_random_cov(rng, u, A_diag)
-        Sigma_inv = _inverse_cov(Sigma)
+        Lam = u.T @ u
+        Lam.flat[:: q + 1] += 1.0 / A_diag
+        Sigma, Sigma_inv = draw_random_cov(rng, 2.0 * q + m, Lam)
         A_diag = draw_cov_auxiliary(rng, Sigma_inv, scales)
         theta = draw_coefficients(rng, y, des, b, sigma2, Sigma_inv, hyper.fixed_scale)
         if it >= cfg.warmup:

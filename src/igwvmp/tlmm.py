@@ -22,8 +22,6 @@ from .distributions import (
     NaturalIGW,
     combined_mean_inverse,
     igw_from_natural,
-    inv_chisq_sqrt_mean,
-    inv_chisq_sqrt_sd,
     moonrock_log_density,
     moonrock_mean,
     moonrock_quantile,
@@ -31,7 +29,6 @@ from .distributions import (
 )
 from .errors import (
     DimensionMismatch,
-    DivergentIntegral,
     DomainError,
     ImproperMessage,
     InvalidHyperparameter,
@@ -456,24 +453,6 @@ class PosteriorSummary:
     @property
     def coefficient_sd(self) -> np.ndarray:
         return np.sqrt(np.diag(self.coefficient_cov))
-
-    def variance_mean(self) -> np.ndarray:
-        d = self.variance.dim
-        if self.variance.xi <= 2 * d:
-            raise DivergentIntegral("covariance posterior mean needs xi > 2d")
-        return self.variance.Lambda / (self.variance.xi - 2 * d)
-
-    def noise_variance_mean(self) -> float:
-        if self.noise_delta <= 2:
-            raise DivergentIntegral("noise variance mean needs delta > 2")
-        return self.noise_lambda / (self.noise_delta - 2.0)
-
-    def noise_sd_mean(self) -> float:
-        """E(sigma) for sigma^2 scaled inverse chi-squared."""
-        return inv_chisq_sqrt_mean(self.noise_delta, self.noise_lambda)
-
-    def noise_sd_sd(self) -> float:
-        return inv_chisq_sqrt_sd(self.noise_delta, self.noise_lambda)
 
     def df_mean(self) -> float:
         return 2.0 * moonrock_mean(self.df_half)

@@ -1,5 +1,5 @@
 """Dense oracles for the vech maps, the block-form coefficient algebra and
-the Inverse G-Wishart density.
+the Inverse G-Wishart density, and a reference Gibbs chain.
 
 The program never calls vec or vech, and never forms the Moore-Penrose
 inverse of a duplication matrix, the n x k design C or a k x k coefficient
@@ -8,6 +8,14 @@ precision; these helpers do, so that tests can check
 vector and the block solver against plain dense linear algebra.
 ``igw_log_density`` is the exact density that the marginalization and
 sampler tests integrate against.
+
+``reference_draw_random_cov`` and ``reference_draw_coefficients`` draw the
+covariance and the coefficients with generic numpy and LAPACK calls:
+``igw_sample`` on a validated ``CommonIGW``, ``np.linalg.inv`` and
+``matops.arrowhead_cholesky`` with block triangular solves. Put in place of
+``mcmc.draw_random_cov`` and ``mcmc.draw_coefficients``, they make
+``gibbs_fit`` run the reference chain that the sampler's closed forms must
+reproduce to rounding.
 """
 
 from dataclasses import dataclass
@@ -16,8 +24,8 @@ import numpy as np
 from scipy.special import multigammaln
 
 from igwvmp import matops
-from igwvmp.distributions import CommonIGW, Graph, inv_chisq_log_density
-from igwvmp.errors import DimensionMismatch, DomainError, NonSPDPrecision
+from igwvmp.distributions import CommonIGW, Graph, igw_sample, inv_chisq_log_density
+from igwvmp.errors import DimensionMismatch, DomainError, NonSPDPrecision, NumericalFailure
 
 
 def vec(M: np.ndarray) -> np.ndarray:
@@ -181,3 +189,58 @@ def mvn_from_natural(n: NaturalMVN):
     Sigma = np.linalg.inv(P)
     Sigma = 0.5 * (Sigma + Sigma.T)
     return Sigma @ n.eta1, Sigma
+
+
+# ---------------------------------------------------------------------------
+# the reference Gibbs chain
+# ---------------------------------------------------------------------------
+
+
+def reference_draw_random_cov(rng, xi, Lam):
+    """``mcmc.draw_random_cov`` by ``igw_sample`` on a validated
+    ``CommonIGW``, ``matops.is_spd`` and ``np.linalg.inv``."""
+    Lam = 0.5 * (Lam + Lam.T)
+    draw = igw_sample(CommonIGW(Graph.FULL, xi, Lam), rng)
+    if not matops.is_spd(draw):
+        raise NumericalFailure("covariance draw is not SPD")
+    try:
+        return draw, np.linalg.inv(draw)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure("random-effects covariance draw is singular") from exc
+
+
+def arrowhead_forward(L: matops.ArrowheadCholesky, r: np.ndarray) -> np.ndarray:
+    """L^{-1} r, with r and the result in corner-first order (corner
+    entries, then group 1, ..., group m)."""
+    p = L.corner.shape[0]
+    v_groups = (L.blocks_inv @ r[p:].reshape(-1, L.blocks.shape[-1], 1)).ravel()
+    v_corner = L.corner_inv @ (r[:p] - L.border @ v_groups)
+    return np.concatenate((v_corner, v_groups))
+
+
+def arrowhead_backward(L: matops.ArrowheadCholesky, v: np.ndarray) -> np.ndarray:
+    """L^{-T} v, in the same order as ``arrowhead_forward``."""
+    p = L.corner.shape[0]
+    x_corner = L.corner_inv.T @ v[:p]
+    w = v[p:] - L.border.T @ x_corner
+    x_groups = np.swapaxes(L.blocks_inv, -1, -2) @ w.reshape(-1, L.blocks.shape[-1], 1)
+    return np.concatenate((x_corner, x_groups.ravel()))
+
+
+def reference_draw_coefficients(rng, y, design, b, sigma2, Sigma_inv, fixed_scale):
+    """``mcmc.draw_coefficients`` by ``matops.arrowhead_cholesky`` and its
+    block triangular solves: L^{-T}(L^{-1} C'Wy/sigma2 + z)."""
+    p, q, m = design.n_fixed, design.n_random, design.n_groups
+    cross_y, gram = design.weighted_cross(1.0 / b, y)
+    CtWC = matops.unravel_arrowhead(gram, p, q, m)
+    M = matops.Arrowhead(
+        CtWC.corner / sigma2 + np.eye(p) / fixed_scale**2,
+        CtWC.border / sigma2,
+        CtWC.blocks / sigma2 + 0.5 * (Sigma_inv + Sigma_inv.T),
+    )
+    try:
+        L = matops.arrowhead_cholesky(M)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure("coefficient conditional precision is not SPD") from exc
+    z = rng.standard_normal(design.n_coefficients)
+    return arrowhead_backward(L, arrowhead_forward(L, cross_y / sigma2) + z)

@@ -14,6 +14,7 @@ from igwvmp import distributions as dist
 from igwvmp import matops
 from igwvmp.distributions import CommonIGW, Graph, MoonRockParams, NaturalIGW
 from igwvmp.errors import (
+    DimensionMismatch,
     DivergentIntegral,
     DomainError,
     ImproperMessage,
@@ -108,12 +109,6 @@ def assert_within_5e14_or_one_ulp(actual, expected):
 
 
 class TestSpecialFunctions:
-    def test_lgamma_against_scipy(self):
-        t = LGAMMA_POINTS
-        assert_within_5e14_or_one_ulp(dist._lgamma(t), gammaln(t))
-        large = np.logspace(np.log10(30.0), 300.0, 1001)
-        assert_allclose(dist._lgamma(large), gammaln(large), rtol=1e-14, atol=0.0)
-
     def test_xlogx_minus_lgamma_against_scipy(self):
         t = LGAMMA_POINTS
         got = dist._xlogx_minus_lgamma(t, np.log(t))
@@ -142,8 +137,6 @@ class TestSpecialFunctions:
         # psi's recurrence would divide by zero, or never end at -inf
         with pytest.raises(DomainError):
             dist.inv_chisq_mean_log(delta, 1.0)
-        with pytest.raises(DomainError):
-            dist.inv_chisq_mean_log(np.array([2.0, delta]), 1.0)
 
     @pytest.mark.parametrize("ab", MOON_ROCK_PAIRS)
     def test_moonrock_step_against_scipy(self, ab):
@@ -164,16 +157,24 @@ class TestSpecialFunctions:
         assert all(type(v) is float for v in values)
 
     def test_inv_chisq_functions_broadcast(self):
-        delta = np.array([[0.5], [3.0], [250.0]])
-        lam = np.array([0.1, 2.0])
-        x = np.array([[[0.3]], [[4.0]]])
-        mean_log = dist.inv_chisq_mean_log(delta, lam)
-        assert mean_log.shape == (3, 2)
-        assert_allclose(mean_log, np.log(lam / 2.0) - digamma(delta / 2.0), rtol=1e-14)
-        log_density = dist.inv_chisq_log_density(delta, lam, x)
-        assert log_density.shape == (2, 3, 2)
-        expected = stats.invgamma.logpdf(x, delta / 2.0, scale=lam / 2.0)
-        assert_allclose(log_density, expected, rtol=1e-12)
+        # lam and x broadcast; the shape delta is a scalar
+        lam = np.array([[0.1], [2.0], [250.0]])
+        x = np.array([[[0.3, 4.0]]])
+        for delta in (0.5, 3.0, 250.0):
+            mean_log = dist.inv_chisq_mean_log(delta, lam)
+            assert mean_log.shape == (3, 1)
+            assert_allclose(mean_log, np.log(lam / 2.0) - digamma(delta / 2.0), rtol=1e-14)
+            log_density = dist.inv_chisq_log_density(delta, lam, x)
+            assert log_density.shape == (1, 3, 2)
+            expected = stats.invgamma.logpdf(x, delta / 2.0, scale=lam / 2.0)
+            assert_allclose(log_density, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("delta", [np.array([3.0]), np.array([[2.0, 3.0]]), [3.0]])
+    def test_inv_chisq_functions_reject_an_array_shape(self, delta):
+        with pytest.raises(DimensionMismatch):
+            dist.inv_chisq_mean_log(delta, 1.0)
+        with pytest.raises(DimensionMismatch):
+            dist.inv_chisq_log_density(delta, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the Gibbs sampler and its chain summaries."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,11 +14,14 @@ from igwvmp.distributions import (
     MoonRockParams,
     igw_mean_inverse,
     igw_to_natural,
+    inv_chisq_sqrt_mean,
+    inv_chisq_sqrt_sd,
     moonrock_mean,
     moonrock_sample,
     moonrock_variance,
 )
 from igwvmp.errors import DimensionMismatch, DomainError, InvalidHyperparameter, NumericalFailure
+import oracles
 from oracles import dense_design
 
 
@@ -150,9 +154,249 @@ def test_coefficient_draw_rejects_a_non_spd_precision():
         )
 
 
+class _FixedBartlett:
+    """An rng stand-in for one covariance draw: fixed Bartlett normals and
+    chi-square draws."""
+
+    def __init__(self, normals, chi2):
+        self.normals = np.asarray(normals, dtype=float)
+        self.chi2 = np.asarray(chi2, dtype=float)
+
+    def standard_normal(self, size):
+        return self.normals.reshape(size)
+
+    def chisquare(self, df, size):
+        return self.chi2.reshape(size)
+
+
 def test_singular_covariance_draw_raises():
-    with pytest.raises(NumericalFailure):
-        mcmc._inverse_cov(np.zeros((2, 2)))
+    cases = [
+        # a zero Bartlett pivot: Sigma would be infinite, Sigma^{-1} singular
+        (24.0, np.eye(2), _FixedBartlett([0.3], [0.0, 20.0])),
+        (21.0, np.eye(1), _FixedBartlett([], [0.0])),
+        # Sigma^{-1} overflows
+        (24.0, 1e-310 * np.eye(2), _FixedBartlett([0.3], [23.0, 22.0])),
+        # the conditional's scale is singular
+        (24.0, np.zeros((2, 2)), np.random.default_rng(0)),
+        (24.0, np.array([[1.0, 1.0], [1.0, 1.0]]), np.random.default_rng(0)),
+    ]
+    for xi, Lam, rng in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure):
+                mcmc.draw_random_cov(rng, xi, Lam)
+
+
+# ---------------------------------------------------------------------------
+# the sampler's closed-form q x q and p x p algebra
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def _vech(M):
+    """Python floats, as ``mcmc._symmetric_vech`` gives them."""
+    return tuple(float(M[i, j]) for i, j in ((0, 0), (1, 0), (1, 1)) if i < M.shape[0])
+
+
+def _rotation(rng):
+    angle = rng.uniform(0.0, 2.0 * np.pi)
+    return np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+
+
+def _small_symmetric_matrices():
+    """1 x 1 and 2 x 2 symmetric matrices by kind: random SPD at scales
+    1e-5 to 1e5; near-singular with eigenvalue ratio 1e-13 (below the SPD
+    margin of 1e-12) and 1e-11 (above it); indefinite or exactly singular;
+    and with a NaN or an infinity in each entry."""
+    rng = np.random.default_rng(5)
+    kinds = {"random": [], "near-singular": [], "indefinite": [], "non-finite": []}
+    for _ in range(40):
+        scale = 10.0 ** rng.uniform(-5.0, 5.0)
+        A = rng.standard_normal((2, 2))
+        kinds["random"].append(scale * (A @ A.T + 0.1 * np.eye(2)))
+        kinds["random"].append(np.array([[scale]]))
+        Q = _rotation(rng)
+        for second in (1e-13, 1e-11):
+            kinds["near-singular"].append(scale * Q @ np.diag([1.0, second]) @ Q.T)
+        for second in (-1e-3, -1.0):
+            kinds["indefinite"].append(scale * Q @ np.diag([1.0, second]) @ Q.T)
+        kinds["indefinite"].append(np.array([[-scale]]))
+        # singular with an exactly zero last pivot
+        kinds["indefinite"].append(4.0 ** rng.integers(-8, 9) * np.array([[4.0, 2.0], [2.0, 1.0]]))
+    kinds["near-singular"] += [np.array([[x]]) for x in (1e-300, 5e-324)]
+    kinds["indefinite"].append(np.zeros((1, 1)))
+    kinds["non-finite"] += [np.array([[x]]) for x in (np.nan, np.inf, -np.inf)]
+    for i, j in ((0, 0), (1, 0), (1, 1)):
+        for bad in (np.nan, np.inf, -np.inf):
+            M = np.array([[2.0, 0.5], [0.5, 1.0]])
+            M[i, j] = M[j, i] = bad
+            kinds["non-finite"].append(M)
+    return kinds
+
+
+SMALL_MATRICES = _small_symmetric_matrices()
+
+
+def _lapack_factor(M):
+    """np.linalg.cholesky's factor, or None where it fails or is not finite."""
+    with np.errstate(all="ignore"):
+        try:
+            L = np.linalg.cholesky(M)
+        except np.linalg.LinAlgError:
+            return None
+    return L if np.all(np.isfinite(L)) else None
+
+
+@pytest.mark.parametrize("kind", SMALL_MATRICES)
+def test_closed_form_spd_verdict_is_is_spd(kind):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [mcmc._is_spd(_vech(M)) for M in SMALL_MATRICES[kind]]
+    assert got == [matops.is_spd(M) for M in SMALL_MATRICES[kind]]
+
+
+@pytest.mark.parametrize("kind", SMALL_MATRICES)
+def test_closed_form_factor_matches_lapack(kind):
+    for M in SMALL_MATRICES[kind]:
+        want = _lapack_factor(M)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if want is None:
+                with pytest.raises(NumericalFailure):
+                    mcmc._cholesky(_vech(M), "M")
+                continue
+            got = mcmc._cholesky(_vech(M), "M")
+        assert_allclose(got[:2], _vech(want)[:2], rtol=4 * EPS, atol=0.0)
+        if len(got) == 3:
+            # the last pivot cancels: its error is about eps M_22 / L_22
+            assert abs(got[2] - want[1, 1]) <= 4 * EPS * M[1, 1] / want[1, 1]
+
+
+def test_closed_form_group_factors_match_lapack():
+    blocks = [M for Ms in SMALL_MATRICES.values() for M in Ms if M.shape == (2, 2)]
+    spd = np.array([M for M in blocks if _lapack_factor(M) is not None])
+    want = np.linalg.cholesky(spd)
+    got = mcmc._group_factors(tuple(spd[:, i, j] for i, j in ((0, 0), (1, 0), (1, 1))))
+    assert_allclose(got[0], want[:, 0, 0], rtol=4 * EPS, atol=0.0)
+    assert_allclose(got[1], want[:, 1, 0], rtol=4 * EPS, atol=0.0)
+    assert np.all(np.abs(got[2] - want[:, 1, 1]) <= 4 * EPS * spd[:, 1, 1] / want[:, 1, 1])
+    bad = np.array([M for M in blocks if _lapack_factor(M) is None])
+    with np.errstate(all="ignore"):
+        got = mcmc._group_factors(tuple(bad[:, i, j] for i, j in ((0, 0), (1, 0), (1, 1))))
+    # a failing block leaves a factor that is not finite with positive pivots
+    ok = (got[0] > 0) & (got[2] > 0) & np.all(np.isfinite(got), axis=0)
+    assert not np.any(ok)
+
+
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("seed", range(6))
+def test_covariance_draw_and_its_inverse_match_numpy(q, seed):
+    # the factor-form draw against igw_sample's, and its closed-form inverse
+    # against np.linalg.inv, on the same Bartlett draws
+    rng = np.random.default_rng(seed)
+    Q = _rotation(rng)[:q, :q]
+    ratio = (1.0, 1e-3, 1e-11)[seed % 3]
+    Lam = 10.0 ** rng.uniform(-5.0, 5.0) * Q @ np.diag([1.0, ratio][:q]) @ Q.T
+    xi = 2.0 * q + rng.integers(0, 30)
+    normals = rng.standard_normal(q * (q - 1) // 2)
+    chi2 = rng.chisquare(xi - q + 1.0 - np.arange(q))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Sigma, Sigma_inv = mcmc.draw_random_cov(_FixedBartlett(normals, chi2), xi, Lam)
+    want, _ = oracles.reference_draw_random_cov(_FixedBartlett(normals, chi2), xi, Lam)
+    cond = np.linalg.cond(want)
+    assert np.linalg.norm(Sigma - want) <= 100 * EPS * cond * np.linalg.norm(want)
+    inverse = np.linalg.inv(Sigma)
+    assert np.linalg.norm(Sigma_inv - inverse) <= 100 * EPS * cond * np.linalg.norm(inverse)
+    assert np.array_equal(Sigma, Sigma.T) and np.array_equal(Sigma_inv, Sigma_inv.T)
+
+
+@pytest.mark.parametrize(
+    "Sigma_inv",
+    [
+        # indefinite, by more than the data's precision can make up
+        np.array([[1.0, 0.0], [0.0, -1e6]]),
+        np.array([[1e6, 2e6], [2e6, 1e6]]),
+        np.array([[np.nan, 0.0], [0.0, 1.0]]),
+        np.array([[1.0, 0.0], [0.0, np.inf]]),
+        np.array([[1.0, -np.inf], [-np.inf, 1.0]]),
+    ],
+)
+def test_coefficient_draw_failures_are_numerical_failures(Sigma_inv):
+    args, _, _ = _draw_setting()
+    y, des, b, sigma2, _, fixed_scale = args
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure):
+            mcmc.draw_coefficients(_FixedNormal(), y, des, b, sigma2, Sigma_inv, fixed_scale)
+
+
+def _run_chain(data, design, cfg, monkeypatch=None):
+    """A chain from ``gibbs_fit``; with ``monkeypatch``, the reference chain
+    whose covariance and coefficient draws are the oracles'."""
+    if monkeypatch is None:
+        return mcmc.gibbs_fit(data, cfg=cfg, design=design)
+    with monkeypatch.context() as patch:
+        patch.setattr(mcmc, "draw_random_cov", oracles.reference_draw_random_cov)
+        patch.setattr(mcmc, "draw_coefficients", oracles.reference_draw_coefficients)
+        return mcmc.gibbs_fit(data, cfg=cfg, design=design)
+
+
+@pytest.mark.parametrize("design", ["slope", "intercept"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_chain_matches_the_reference_chain(design, seed, monkeypatch):
+    data, _ = tlmm.simulate(seed=seed, n_groups=20, group_size=15)
+    cfg = mcmc.GibbsConfig(warmup=300, kept=1500, seed=seed)
+    chain = _run_chain(data, design, cfg)
+    reference = _run_chain(data, design, cfg, monkeypatch)
+    for got, want in zip(chain[1:], reference[1:]):
+        assert np.all(np.abs(got - want) <= 1e-10 * want.std(axis=0))
+
+
+class _Recorder:
+    """A Generator that records each call's method and arguments."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def record(*args, **kwargs):
+            plain = tuple(np.asarray(a).tolist() for a in args)
+            self.calls.append((name, plain, {k: np.asarray(v).tolist() for k, v in kwargs.items()}))
+            return method(*args, **kwargs)
+
+        return record
+
+
+@pytest.mark.parametrize("design", ["slope", "intercept"])
+def test_chain_makes_the_reference_chains_random_calls(design, monkeypatch):
+    data, _ = tlmm.simulate(seed=3, n_groups=20, group_size=15)
+    cfg = mcmc.GibbsConfig(warmup=10, kept=40, seed=3)
+    recorders = []
+    default_rng = np.random.default_rng
+
+    def recording_rng(seed):
+        recorders.append(_Recorder(default_rng(seed)))
+        return recorders[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    _run_chain(data, design, cfg)
+    _run_chain(data, design, cfg, monkeypatch)
+    got, want = (r.calls for r in recorders)
+    assert len(want) > 50 * 7
+    # the same methods with the same argument shapes; the values are those
+    # of the two chains' states, which agree to rounding
+    assert [(name, [np.shape(a) for a in args], kwargs) for name, args, kwargs in got] == [
+        (name, [np.shape(a) for a in args], kwargs) for name, args, kwargs in want
+    ]
+    for (_, got_args, _), (_, want_args, _) in zip(got, want):
+        for a, b in zip(got_args, want_args):
+            # a size of None reads as NaN
+            assert_allclose(np.asarray(a, dtype=float), np.asarray(b, dtype=float), rtol=1e-12)
 
 
 def test_gibbs_iterations_need_no_k_by_k_array():
@@ -172,12 +416,11 @@ def _prior_covariance_draws(scales, warmup, kept, seed):
     # with no groups, the two covariance blocks sample the Huang-Wand prior
     rng = np.random.default_rng(seed)
     scales = np.asarray(scales, dtype=float)
-    u_empty = np.zeros((0, scales.size))
     A_diag = np.ones(scales.size)
     Sigma, A = [], []
     for it in range(warmup + kept):
-        S = mcmc.draw_random_cov(rng, u_empty, A_diag)
-        A_diag = mcmc.draw_cov_auxiliary(rng, mcmc._inverse_cov(S), scales)
+        S, S_inv = mcmc.draw_random_cov(rng, 2.0 * scales.size, np.diag(1.0 / A_diag))
+        A_diag = mcmc.draw_cov_auxiliary(rng, S_inv, scales)
         if it >= warmup:
             Sigma.append(S)
             A.append(A_diag)
@@ -245,10 +488,11 @@ def stationarity_failures(data, summary, seeds, kept=500):
     - spread: the pooled sd is at least a tenth of the VMP posterior sd,
       which a chain that does not move fails.
     """
+    delta, lam, cov = summary.noise_delta, summary.noise_lambda, summary.variance
     init = {
         "coefficients": summary.coefficient_mean,
-        "sigma2": summary.noise_variance_mean(),
-        "Sigma": summary.variance_mean(),
+        "sigma2": lam / (delta - 2.0),
+        "Sigma": cov.Lambda / (cov.xi - 2 * cov.dim),
         "nu": summary.df_mean(),
     }
     chains = [
@@ -260,7 +504,7 @@ def stationarity_failures(data, summary, seeds, kept=500):
     vmp = {
         "beta0": (summary.coefficient_mean[0], summary.coefficient_sd[0]),
         "beta1": (summary.coefficient_mean[1], summary.coefficient_sd[1]),
-        "sigma": (summary.noise_sd_mean(), summary.noise_sd_sd()),
+        "sigma": (inv_chisq_sqrt_mean(delta, lam), inv_chisq_sqrt_sd(delta, lam)),
         "nu": (summary.df_mean(), summary.df_sd()),
     }
     threshold = t_dist.ppf(1.0 - STATIONARITY_LEVEL / (2 * len(vmp)), len(chains) - 1)

@@ -12,7 +12,14 @@ from numpy.testing import assert_allclose
 from igwvmp import distributions
 from igwvmp import fragments as fr
 from igwvmp import matops, tlmm
-from igwvmp.distributions import Graph, MoonRockParams, igw_to_natural, moonrock_mean
+from igwvmp.distributions import (
+    Graph,
+    MoonRockParams,
+    igw_to_natural,
+    inv_chisq_sqrt_mean,
+    inv_chisq_sqrt_sd,
+    moonrock_mean,
+)
 from igwvmp.errors import (
     DimensionMismatch,
     DomainError,
@@ -570,11 +577,13 @@ def test_posterior_summary_finite_and_coherent(example_fit):
     assert len(s.names) == len(s.coefficient_mean) == 2 + 20 * 2
     assert s.names[:2] == ("beta0", "beta1")
     assert s.noise_delta > 2 and s.noise_lambda > 0
-    # Jensen: E(sigma)^2 < E(sigma^2)
-    assert s.noise_sd_mean() ** 2 < s.noise_variance_mean()
-    assert s.noise_variance_mean() == pytest.approx(s.noise_lambda / (s.noise_delta - 2))
+    # Jensen: E(sigma)^2 < E(sigma^2) = lambda / (delta - 2)
+    noise_sd_mean = inv_chisq_sqrt_mean(s.noise_delta, s.noise_lambda)
+    assert noise_sd_mean**2 < s.noise_lambda / (s.noise_delta - 2)
+    assert inv_chisq_sqrt_sd(s.noise_delta, s.noise_lambda) > 0
     assert s.to_dict()["Sigma"]["kappa"] == pytest.approx(s.variance.xi - 2 + 1)
-    assert matops.is_spd(s.variance_mean())
+    assert s.variance.xi > 2 * s.variance.dim
+    assert matops.is_spd(s.variance.Lambda / (s.variance.xi - 2 * s.variance.dim))
     assert s.df_mean() > 0 and s.df_sd() > 0
 
 
