@@ -23,8 +23,11 @@ The Gaussian coefficient node of the mixed model has an arrowhead
 precision: p x p fixed-effect entries, m border blocks of p x q and m
 diagonal q x q blocks, with zeros elsewhere. ``Arrowhead`` holds those
 blocks; ``ravel_arrowhead`` and ``unravel_arrowhead`` map them to and from
-one flat vector; and ``arrowhead_cholesky`` with ``arrowhead_moments``
-works on them in O(m) time and memory.
+one flat vector. ``arrowhead_cholesky`` factors one in closed form, with
+the forward solve of a right-hand side, and ``arrowhead_backward`` and
+``arrowhead_moments`` finish the solve or give the inverse, in O(m) time
+and memory; both engines use them (``tlmm.extract_gaussian``,
+``mcmc.draw_coefficients``).
 """
 
 import math
@@ -33,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NumericalFailure
 
 __all__ = [
     "unvech",
@@ -46,6 +49,7 @@ __all__ = [
     "ravel_arrowhead",
     "unravel_arrowhead",
     "arrowhead_cholesky",
+    "arrowhead_backward",
     "arrowhead_moments",
     "duplication",
     "is_spd",
@@ -181,6 +185,121 @@ def is_spd(M: np.ndarray) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# closed-form 1 x 1 and 2 x 2 algebra
+# ---------------------------------------------------------------------------
+#
+# The designs have p = 2 fixed effects and q = 1 or 2 random effects per
+# group, so every block of the coefficient precision, and every covariance
+# the sampler draws, is 1 x 1 or 2 x 2. A symmetric matrix is passed as its
+# vech, (s11,) or (s11, s21, s22), of Python floats for one matrix or of
+# arrays over the m groups; a lower triangular factor likewise as (l11,) or
+# (l11, l21, l22). Formulas on Python floats cost a fraction of a numpy
+# call each. Python floats overflow to inf without raising, and the float
+# formulas divide only by pivots checked to be positive, so a failure shows
+# in the checks below rather than as ZeroDivisionError; the array formulas
+# run under ``np.errstate``, so it shows as NaN or an infinity rather than
+# a warning.
+
+# the (row, column) of each vech entry of a 1 x 1 or 2 x 2 matrix
+_VECH_PAIRS = {1: ((0, 0),), 2: ((0, 0), (1, 0), (1, 1))}
+
+
+def _symmetric_vech(M: np.ndarray) -> tuple:
+    """Python floats of the vech of (M + M^T)/2 for a 1 x 1 or 2 x 2 M."""
+    if M.shape == (1, 1):
+        return (float(M[0, 0]),)
+    if M.shape != (2, 2):
+        raise DimensionMismatch(f"the closed-form algebra is 1 x 1 or 2 x 2, got {M.shape}")
+    (a, b), (c, d) = M.tolist()
+    return a, 0.5 * (b + c), d
+
+
+def _vech_matrix(v: tuple) -> np.ndarray:
+    """The symmetric matrix with vech v; for entries that are arrays over
+    the groups, the (m, d, d) stack of them."""
+    if len(v) == 1:
+        return np.array([[v[0]]]).T
+    return np.array([[v[0], v[1]], [v[1], v[2]]]).T
+
+
+def _is_spd(v: tuple) -> bool:
+    """``is_spd``'s verdict on the symmetric matrix with vech v, in closed
+    form: S = 2M, less ``spd_threshold`` of its diagonal on the diagonal,
+    has a Cholesky factor, and the entries of S sum to a finite number."""
+    if len(v) == 1:
+        s = v[0] + v[0]
+        # s less its margin, s (1 - SPD_MARGIN), is positive exactly when s is
+        return 0.0 < s < math.inf
+    a, b, c = v[0] + v[0], v[1] + v[1], v[2] + v[2]
+    if not math.isfinite(a + b + b + c):
+        return False
+    t = SPD_MARGIN * max(a, c, 0.0)
+    a -= t
+    if not a > 0.0:
+        return False
+    b /= math.sqrt(a)
+    return c - t - b * b > 0.0
+
+
+def _cholesky(v: tuple, what: str) -> tuple:
+    """The lower Cholesky factor of the symmetric matrix with vech v (Python
+    floats). Raises NumericalFailure, naming ``what``, where
+    ``np.linalg.cholesky`` fails (a pivot that is not positive, or NaN) or
+    gives a non-finite factor."""
+    a = v[0]
+    if not 0.0 < a < math.inf:
+        raise NumericalFailure(f"{what} is not SPD")
+    l11 = math.sqrt(a)
+    if len(v) == 1:
+        return (l11,)
+    l21 = v[1] / l11
+    d = v[2] - l21 * l21  # -inf or NaN when l21 is not finite
+    if not 0.0 < d < math.inf:
+        raise NumericalFailure(f"{what} is not SPD")
+    return l11, l21, math.sqrt(d)
+
+
+def _group_factors(d: tuple) -> tuple:
+    """The lower Cholesky factors of m matrices, their vech entries ``d``
+    given as arrays over the groups, with no check: a pivot that is not
+    positive, or NaN, leaves a zero, NaN or an infinity in the factor and
+    NaN or an infinity in every solve with it. Call it under
+    ``np.errstate(all="ignore")``."""
+    l11 = np.sqrt(d[0])
+    if len(d) == 1:
+        return (l11,)
+    l21 = d[1] / l11
+    return l11, l21, np.sqrt(d[2] - l21 * l21)
+
+
+def _lower_solve(L: tuple, r) -> tuple:
+    """x with L x = r, for a factor L and r with one float or array per row
+    of L (a sequence, or an array whose first axis runs over the rows)."""
+    x0 = r[0] / L[0]
+    if len(L) == 1:
+        return (x0,)
+    return x0, (r[1] - L[1] * x0) / L[2]
+
+
+def _upper_solve(L: tuple, r) -> tuple:
+    """x with L^T x = r; see ``_lower_solve``."""
+    if len(L) == 1:
+        return (r[0] / L[0],)
+    x1 = r[1] / L[2]
+    return (r[0] - L[1] * x1) / L[0], x1
+
+
+def _inverse_gram(L: tuple) -> tuple:
+    """The vech of (L L^T)^{-1} = L^{-T} L^{-1} for a factor L."""
+    i11 = 1.0 / L[0]
+    if len(L) == 1:
+        return (i11 * i11,)
+    i22 = 1.0 / L[2]
+    i21 = -L[1] * i11 * i22
+    return i11 * i11 + i21 * i21, i21 * i22, i22 * i22
+
+
+# ---------------------------------------------------------------------------
 # arrowhead matrices
 # ---------------------------------------------------------------------------
 
@@ -206,17 +325,15 @@ class ArrowheadCholesky(NamedTuple):
 
         L = [[blockdiag(L_1, ..., L_m), 0], [[K_1 ... K_m], L_c]].
 
-    ``blocks`` holds the L_i (m x q x q) and ``blocks_inv`` their inverses,
-    ``border`` the p x mq row [K_1 ... K_m] with K_i = B_i L_i^{-T}, and
-    ``corner``/``corner_inv`` the factor L_c of the Schur complement
-    A - sum_i K_i K_i^T and its inverse.
+    ``blocks`` holds the vech of the L_i as a tuple of arrays over the
+    groups, ``border`` the p x mq row [K_1 ... K_m] with K_i = B_i L_i^{-T},
+    and ``corner`` the vech of L_c, the factor of the Schur complement
+    A - sum_i K_i K_i^T, as Python floats.
     """
 
-    blocks: np.ndarray
-    blocks_inv: np.ndarray
+    blocks: tuple
     border: np.ndarray
-    corner: np.ndarray
-    corner_inv: np.ndarray
+    corner: tuple
 
 
 def arrowhead_len(p: int, q: int, m: int) -> int:
@@ -245,66 +362,101 @@ def unravel_arrowhead(v: np.ndarray, p: int, q: int, m: int) -> Arrowhead:
     )
 
 
-def _lower_inverse(L: np.ndarray) -> np.ndarray:
-    """Inverses of a stack (..., d, d) of lower-triangular matrices, by
-    forward substitution over their d rows, vectorized over the stack."""
-    d = L.shape[-1]
-    inv_diag = 1.0 / L.diagonal(axis1=-2, axis2=-1)
-    X = np.zeros_like(L)
-    X[..., 0, 0] = inv_diag[..., 0]
-    for j in range(1, d):
-        earlier = (L[..., j : j + 1, :j] @ X[..., :j, :])[..., 0, :]
-        X[..., j, :] = -earlier * inv_diag[..., j, None]
-        X[..., j, j] = inv_diag[..., j]
-    return X
+def _set_floats(out: np.ndarray, values: tuple) -> None:
+    """out[:len(values)] = values, item by item: a tuple assigned to a
+    slice is first converted to an array, which costs more."""
+    for i, x in enumerate(values):
+        out[i] = x
 
 
-def arrowhead_cholesky(a: Arrowhead, shift: float = 0.0) -> ArrowheadCholesky:
-    """Block Cholesky factor of an arrowhead matrix minus ``shift`` times
-    the identity. Raises np.linalg.LinAlgError unless that is positive
-    definite with a finite factor."""
-    m, p, q = a.border.shape
-    blocks, corner = a.blocks, a.corner
-    if shift:
-        blocks = blocks - shift * np.eye(q)
-        corner = corner - shift * np.eye(p)
-    L = np.linalg.cholesky(blocks)
-    L_inv = _lower_inverse(L)
-    K = np.swapaxes(a.border @ np.swapaxes(L_inv, -1, -2), 0, 1).reshape(p, m * q)
-    L_c = np.linalg.cholesky(corner - K @ K.T)
-    if not math.isfinite(L.sum() + L_c.sum()):
-        raise np.linalg.LinAlgError("arrowhead matrix is not finite")
-    return ArrowheadCholesky(L, L_inv, K, L_c, np.linalg.inv(L_c))
+def arrowhead_cholesky(a: Arrowhead, h: np.ndarray, shift: float = 0.0):
+    """(L, L^{-1} h) for the block Cholesky factor L of the arrowhead
+    matrix ``a`` minus ``shift`` times the identity, with h and L^{-1} h in
+    corner-first order (the corner's entries, then group 1, ..., group m).
 
-
-def arrowhead_moments(L: ArrowheadCholesky, h: np.ndarray, dense: bool = False):
-    """(M^{-1} h, M^{-1}) for the factored M = L L^T: the mean and the
-    covariance of the Gaussian with precision M and natural parameter h
-    (corner-first order). The covariance comes as its arrowhead blocks, or
-    with ``dense`` as the full k x k matrix.
-
-    With D_i = L_i L_i^T the groups' blocks, H_i = K_i L_i^{-1} = B_i D_i^{-1}
-    and S^{-1} = L_c^{-T} L_c^{-1} the inverse Schur complement, M^{-1} has
-    corner S^{-1}, border -S^{-1} H_i and group-pair blocks
-    delta_ij D_i^{-1} + H_i^T S^{-1} H_j, of which the arrowhead keeps
-    i = j. The mean's corner is S^{-1}(h_c - sum_i H_i h_i) and its group
-    i part D_i^{-1} h_i - H_i^T times the corner.
+    The m group blocks are factored by closed forms on arrays over the
+    groups and the p x p Schur complement on floats, so p and q must be 1
+    or 2; other sizes raise DimensionMismatch. The group solves for the K_i
+    and for v_i = L_i^{-1} h_i share one (q, p + 1, m) right-hand side, and
+    the sums over the groups, sum_i K_i K_i^T and sum_i K_i v_i, come from
+    one (p + 1) x (p + 1) product; the corner's part is
+    L_c^{-1}(h_c - sum_i K_i v_i). Raises NumericalFailure unless the
+    matrix is positive definite with a finite factor: a NaN or infinite
+    group factor fails a dot product of its pivots, and a zero pivot leaves
+    an infinity or NaN in K_i, so the corner's factorization fails.
     """
-    m, q = L.blocks.shape[:2]
-    p = L.corner.shape[0]
-    corner = L.corner_inv.T @ L.corner_inv
-    corner = 0.5 * (corner + corner.T)
-    H = np.einsum("ams,msr->amr", L.border.reshape(p, m, q), L.blocks_inv).reshape(p, m * q)
-    D_inv = np.swapaxes(L.blocks_inv, -1, -2) @ L.blocks_inv
-    h_groups = h[p:]
-    mean_corner = corner @ (h[:p] - H @ h_groups)
-    mean_groups = (D_inv @ h_groups.reshape(m, q, 1)).ravel() - H.T @ mean_corner
-    mean = np.concatenate((mean_corner, mean_groups))
+    m, p, q = a.border.shape
+    if p not in _VECH_PAIRS or q not in _VECH_PAIRS:
+        raise DimensionMismatch(f"the arrowhead factor needs p and q of 1 or 2, got p={p}, q={q}")
+    if shift:
+        a = Arrowhead(a.corner - shift * np.eye(p), a.border, a.blocks - shift * np.eye(q))
+    what = "the coefficient precision"
+    with np.errstate(all="ignore"):
+        L = _group_factors([a.blocks[:, i, j] for i, j in _VECH_PAIRS[q]])
+        if not math.isfinite(L[0] @ L[-1]):
+            raise NumericalFailure(f"{what} is not SPD")
+        # column j of the right-hand sides: B_i's column j as p rows, then
+        # h_i's entry j, each over the groups
+        rhs = np.empty((q, p + 1, m))
+        rhs[:, :p] = a.border.T
+        rhs[:, p] = h[p:].reshape(m, q).T
+        # rows: [K_1 ... K_m], then (v_1, ..., v_m)
+        KV = np.empty((p + 1, m, q))
+        for j, x_j in enumerate(_lower_solve(L, rhs)):
+            KV[:, :, j] = x_j
+        KV = KV.reshape(p + 1, m * q)
+        product = (KV @ KV.T).tolist()
+    corner = a.corner.tolist()
+    L_c = _cholesky([corner[i][j] - product[i][j] for i, j in _VECH_PAIRS[p]], what)
+    v = np.empty(p + m * q)
+    v_c = _lower_solve(L_c, [c - product[i][p] for i, c in enumerate(h[:p].tolist())])
+    _set_floats(v, v_c)
+    v[p:] = KV[p]
+    return ArrowheadCholesky(L, KV[:p], L_c), v
+
+
+def arrowhead_backward(L: ArrowheadCholesky, v: np.ndarray) -> np.ndarray:
+    """L^{-T} v, with v and the result in corner-first order: the corner's
+    part x_c = L_c^{-T} v_c, then group i's x_i = L_i^{-T}(v_i - K_i^T x_c)."""
+    p, mq = L.border.shape
+    q = mq // L.blocks[0].size
+    x = np.empty(p + mq)
+    x_c = _upper_solve(L.corner, v[:p].tolist())
+    _set_floats(x, x_c)
+    w = (v[p:] - np.dot(x_c, L.border)).reshape(-1, q).T
+    for j, x_j in enumerate(_upper_solve(L.blocks, w)):
+        x[p + j :: q] = x_j
+    return x
+
+
+def arrowhead_moments(L: ArrowheadCholesky, v: np.ndarray, dense: bool = False):
+    """(M^{-1} h, M^{-1}) for M = L L^T and v = L^{-1} h, as
+    ``arrowhead_cholesky`` returns them: the mean and the covariance of the
+    Gaussian with precision M and natural parameter h (corner-first order).
+    The covariance comes as its arrowhead blocks, or with ``dense`` as the
+    full k x k matrix.
+
+    The mean is ``arrowhead_backward(L, v)``. With D_i = L_i L_i^T the
+    groups' blocks, H_i = K_i L_i^{-1} = B_i D_i^{-1} and S = L_c L_c^T the
+    Schur complement, M^{-1} has corner S^{-1}, border -S^{-1} H_i and
+    group-pair blocks delta_ij D_i^{-1} + H_i^T S^{-1} H_j, of which the
+    arrowhead keeps i = j. S^{-1} and the D_i^{-1} are closed forms in the
+    factors' entries.
+    """
+    p, mq = L.border.shape
+    m = L.blocks[0].size
+    q = mq // m
+    mean = arrowhead_backward(L, v)
+    corner = _vech_matrix(_inverse_gram(L.corner))
+    D_inv = _vech_matrix(_inverse_gram(L.blocks))
+    # H_i^T = L_i^{-T} K_i^T for the p rows of every K_i at once, as (m, p, q)
+    K_columns = L.border.reshape(p, m, q).transpose(2, 0, 1)
+    H_groups = np.array(_upper_solve(L.blocks, K_columns)).T
     if not dense:
         # the group blocks come out symmetric to rounding
-        H_groups = np.swapaxes(H.reshape(p, m, q), 0, 1)
         border = -(corner @ H_groups)
         return mean, Arrowhead(corner, border, D_inv - np.swapaxes(H_groups, -1, -2) @ border)
+    H = np.swapaxes(H_groups, 0, 1).reshape(p, m * q)
     out = np.empty((p + m * q, p + m * q))
     out[:p, :p] = corner
     out[:p, p:] = -(corner @ H)

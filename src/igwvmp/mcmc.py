@@ -6,6 +6,9 @@ degrees of freedom. Its conditional is a Moon Rock density, updated by one
 slice-sampling step in s = log t from the current value, which builds no
 grid. The sampler serves as a simulation ground truth for the variational
 fit.
+
+Its 1 x 1 and 2 x 2 algebra, including the coefficients' block Cholesky
+factor that the variational fit also uses, is ``matops``'.
 """
 
 import math
@@ -35,6 +38,7 @@ from .errors import (
     NotConverged,
     NumericalFailure,
 )
+from .matops import _cholesky, _is_spd, _symmetric_vech, _vech_matrix
 from .tlmm import TLMMData, TLMMHyper, assemble_design, coefficient_names
 
 __all__ = [
@@ -115,175 +119,34 @@ class ChainSummary:
 
 
 # ---------------------------------------------------------------------------
-# closed-form q x q and p x p algebra
-# ---------------------------------------------------------------------------
-#
-# The sampler's designs have p = 2 fixed effects and q = 1 or 2 random
-# effects per group, so every dense matrix it factors or inverts is 1 x 1 or
-# 2 x 2. A symmetric matrix is passed as its vech, (s11,) or (s11, s21, s22),
-# of Python floats for one matrix or of arrays over the m groups; a lower
-# triangular factor likewise as (l11,) or (l11, l21, l22). Formulas on
-# Python floats cost a fraction of a numpy call each. Python floats
-# overflow to inf without raising, and the float formulas divide only by
-# pivots checked to be positive, so a failure shows in the checks below
-# rather than as ZeroDivisionError; the array formulas run under
-# ``np.errstate``, so it shows as NaN or an infinity rather than a warning.
-
-
-def _symmetric_vech(M: np.ndarray) -> tuple:
-    """Python floats of the vech of (M + M^T)/2 for a 1 x 1 or 2 x 2 M."""
-    if M.shape == (1, 1):
-        return (float(M[0, 0]),)
-    if M.shape != (2, 2):
-        raise DimensionMismatch(f"the sampler's algebra is 1 x 1 or 2 x 2, got {M.shape}")
-    (a, b), (c, d) = M.tolist()
-    return a, 0.5 * (b + c), d
-
-
-def _vech_matrix(v: tuple) -> np.ndarray:
-    """The symmetric matrix with vech v."""
-    if len(v) == 1:
-        return np.array([[v[0]]])
-    return np.array([[v[0], v[1]], [v[1], v[2]]])
-
-
-def _is_spd(v: tuple) -> bool:
-    """``matops.is_spd``'s verdict on the symmetric matrix with vech v, in
-    closed form: S = 2M, less ``spd_threshold`` of its diagonal on the
-    diagonal, has a Cholesky factor, and the entries of S sum to a finite
-    number."""
-    if len(v) == 1:
-        s = v[0] + v[0]
-        # s less its margin, s (1 - SPD_MARGIN), is positive exactly when s is
-        return 0.0 < s < math.inf
-    a, b, c = v[0] + v[0], v[1] + v[1], v[2] + v[2]
-    if not math.isfinite(a + b + b + c):
-        return False
-    t = matops.SPD_MARGIN * max(a, c, 0.0)
-    a -= t
-    if not a > 0.0:
-        return False
-    b /= math.sqrt(a)
-    return c - t - b * b > 0.0
-
-
-def _cholesky(v: tuple, what: str) -> tuple:
-    """The lower Cholesky factor of the symmetric matrix with vech v (Python
-    floats). Raises NumericalFailure, naming ``what``, where
-    ``np.linalg.cholesky`` fails (a pivot that is not positive, or NaN) or
-    gives a non-finite factor."""
-    a = v[0]
-    if not 0.0 < a < math.inf:
-        raise NumericalFailure(f"{what} is not SPD")
-    l11 = math.sqrt(a)
-    if len(v) == 1:
-        return (l11,)
-    l21 = v[1] / l11
-    d = v[2] - l21 * l21  # -inf or NaN when l21 is not finite
-    if not 0.0 < d < math.inf:
-        raise NumericalFailure(f"{what} is not SPD")
-    return l11, l21, math.sqrt(d)
-
-
-def _group_factors(d: tuple) -> tuple:
-    """The lower Cholesky factors of m matrices, their vech entries ``d``
-    given as arrays over the groups, with no check: a pivot that is not
-    positive, or NaN, leaves a zero, NaN or an infinity in the factor and
-    NaN or an infinity in every solve with it. Call it under
-    ``np.errstate(all="ignore")``."""
-    l11 = np.sqrt(d[0])
-    if len(d) == 1:
-        return (l11,)
-    l21 = d[1] / l11
-    return l11, l21, np.sqrt(d[2] - l21 * l21)
-
-
-# positions of the vech entries in a row-major q x q matrix
-_VECH_OFFSETS = {1: (0,), 2: (0, 2, 3)}
-
-
-def _lower_solve(L: tuple, r: tuple) -> tuple:
-    """x with L x = r, for a factor L and r as tuples of q floats or arrays
-    (one entry of r per row of L)."""
-    x0 = r[0] / L[0]
-    if len(L) == 1:
-        return (x0,)
-    return x0, (r[1] - L[1] * x0) / L[2]
-
-
-def _upper_solve(L: tuple, r: tuple) -> tuple:
-    """x with L^T x = r; see ``_lower_solve``."""
-    if len(L) == 1:
-        return (r[0] / L[0],)
-    x1 = r[1] / L[2]
-    return (r[0] - L[1] * x1) / L[0], x1
-
-
-# ---------------------------------------------------------------------------
 # full conditionals
 # ---------------------------------------------------------------------------
 
 
 def draw_coefficients(rng, y, design, b, sigma2, Sigma_inv, fixed_scale):
     """(beta, u) | rest is Gaussian with precision M = C'WC/sigma2 plus the
-    prior block diagonal (Sigma^{-1} per group), W = diag(1/b), and mean
-    M^{-1} r, r = C'Wy/sigma2; C is the index-form ``design``.
+    prior's block diagonal (I/fixed_scale^2 on beta, Sigma^{-1} per group),
+    W = diag(1/b), and mean M^{-1} r, r = C'Wy/sigma2; C is the index-form
+    ``design``, and the weights 1/(sigma2 b) carry the 1/sigma2 scaling.
 
-    M is an arrowhead with corner P (p x p), borders B_i (p x q) and group
-    blocks D_i (q x q). With the groups ordered first, M = L L' has no
-    fill (as in ``matops.arrowhead_cholesky``): L_i L_i' = D_i,
-    K_i = B_i L_i^{-T} and L_c L_c' = P - sum_i K_i K_i'. With z standard
-    normal the draw is L^{-T}(L^{-1} r + z): forward, v_i = L_i^{-1} r_i
-    and v_c = L_c^{-1}(r_c - sum_i K_i v_i); backward, x_c = L_c^{-T}(v_c +
-    z_c) and x_i = L_i^{-T}(v_i + z_i - K_i' x_c). The group factors and
-    solves are closed forms on arrays over the m groups; the sums over
-    groups come from one matrix product, and the corner's algebra is on
-    floats. As ``matops.arrowhead_cholesky``, the draw raises
-    NumericalFailure unless every factor exists and is finite: a NaN or
-    infinite group factor fails a dot product of its pivots, and a zero
-    pivot leaves an infinity or NaN in K_i, so the corner's factorization
-    fails.
+    ``matops.arrowhead_cholesky`` factors M = L L' and gives v = L^{-1} r;
+    with z standard normal, the draw is L^{-T}(v + z). It raises
+    NumericalFailure unless M is positive definite with a finite factor,
+    and DimensionMismatch unless p and q are 1 or 2.
     """
     p, q, m = design.n_fixed, design.n_random, design.n_groups
-    if p != 2 or q not in (1, 2):
-        raise DimensionMismatch(f"the sampler needs p = 2 and q = 1 or 2, got p={p}, q={q}")
     if Sigma_inv.shape != (q, q):
         raise DimensionMismatch(f"Sigma_inv must be {q} x {q}, got {Sigma_inv.shape}")
-    prior = _symmetric_vech(Sigma_inv)
-    pq, start = p * q, p * p + m * p * q
     with np.errstate(all="ignore"):
-        # C'WC/sigma2 and C'Wy/sigma2, raveled as ``matops.ravel_arrowhead``:
-        # P, then each B_i and each D_i row-major
         r, gram = design.weighted_cross(1.0 / (sigma2 * b), y)
-        L = _group_factors(
-            tuple(gram[start + k :: q * q] + s for k, s in zip(_VECH_OFFSETS[q], prior))
-        )
-        what = "coefficient conditional precision"
-        if not math.isfinite(L[0] @ L[-1]):
-            raise NumericalFailure(f"{what} is not SPD")
-        # column j of the right-hand sides: B_i's column j as p rows, then r_i's
-        # entry j, each over the groups
-        rhs = np.empty((q, p + 1, m))
-        rhs[:, :p] = gram[p * p : start].reshape(m, p, q).T
-        rhs[:, p] = r[p:].reshape(m, q).T
-        # rows: K_i's row a, then v_i, with their q columns side by side
-        KV = np.concatenate(_lower_solve(L, tuple(rhs)), axis=1)
-        (k11, k12, kv1), (_, k22, kv2), _ = (KV @ KV.T).tolist()
-        p11, _, p21, p22 = gram[: p * p].tolist()
-        f = 1.0 / fixed_scale**2
-        Lc = _cholesky((p11 + f - k11, p21 - k12, p22 + f - k22), what)
-        r1, r2 = r[:p].tolist()
-        v_c = _lower_solve(Lc, (r1 - kv1, r2 - kv2))
+        M = matops.unravel_arrowhead(gram, p, q, m)
+        # the prior, added in place to the fresh C'WC/sigma2
+        np.add(M.blocks, Sigma_inv, out=M.blocks)
+        fixed = gram[: p * p : p + 1]  # the corner's diagonal
+        fixed += 1.0 / fixed_scale**2
+        L, v = matops.arrowhead_cholesky(M, r)
         z = rng.standard_normal(p + m * q)
-        z1, z2 = z[:p].tolist()
-        x_c = _upper_solve(Lc, (v_c[0] + z1, v_c[1] + z2))
-        w = (KV[p] - x_c @ KV[:p]).reshape(q, m) + z[p:].reshape(m, q).T
-        x = _upper_solve(L, tuple(w))
-    theta = np.empty(p + m * q)
-    theta[:p] = x_c
-    for j in range(q):
-        theta[p + j :: q] = x[j]
-    return theta
+        return matops.arrowhead_backward(L, v + z)
 
 
 def draw_scale_mixture(rng, resid, sigma2, upsilon):
@@ -386,8 +249,12 @@ def gibbs_fit(
 ) -> ChainOutput:
     """Run the Gibbs sampler and return the retained draws.
 
-    ``init`` may override starting values by key: coefficients, sigma2,
-    Sigma, a, A, b, nu.
+    ``init`` may override starting values by key: ``coefficients`` (k
+    entries), ``sigma2``, ``a``, ``A`` (q entries) and ``nu``. These are the
+    blocks read before they are drawn; any other key raises
+    InvalidHyperparameter, as does a value that is not finite or, except
+    for the coefficients, not positive. A wrong shape raises
+    DimensionMismatch.
     """
     cfg = cfg if cfg is not None else GibbsConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -404,23 +271,27 @@ def gibbs_fit(
     y = data.y
     k = des.n_coefficients
 
-    theta = np.zeros(k)
-    sigma2 = 1.0
-    Sigma = np.eye(q)
-    A_diag = np.ones(q)
-    a_aux = 1.0
-    b = np.ones(data.n_obs)
-    upsilon = 1.0
-    if init:
-        theta = np.asarray(init.get("coefficients", theta), dtype=float).copy()
-        sigma2 = float(init.get("sigma2", sigma2))
-        Sigma = np.asarray(init.get("Sigma", Sigma), dtype=float).copy()
-        A_diag = np.asarray(init.get("A", A_diag), dtype=float).copy()
-        a_aux = float(init.get("a", a_aux))
-        b = np.asarray(init.get("b", b), dtype=float).copy()
-        upsilon = float(init.get("nu", 2.0 * upsilon)) / 2.0
-    if theta.shape != (k,) or Sigma.shape != (q, q) or sigma2 <= 0:
-        raise DimensionMismatch("initial state does not match the model layout")
+    start = {"coefficients": np.zeros(k), "sigma2": 1.0, "a": 1.0, "A": np.ones(q), "nu": 2.0}
+    for name, value in (init or {}).items():
+        if name not in start:
+            raise InvalidHyperparameter(f"init takes only {', '.join(start)}; got {name!r}")
+        try:
+            value = np.array(value, dtype=float)
+        except (TypeError, ValueError):
+            raise InvalidHyperparameter(f"init {name} is not numeric: {value!r}") from None
+        if value.shape != np.shape(start[name]):
+            raise DimensionMismatch(
+                f"init {name} must have shape {np.shape(start[name])}, got {value.shape}"
+            )
+        if not np.all(np.isfinite(value) & ((value > 0) | (name == "coefficients"))):
+            raise InvalidHyperparameter(
+                f"init values must be finite, and all but the coefficients positive; "
+                f"got {name} = {value}"
+            )
+        start[name] = value
+    theta = start["coefficients"]
+    sigma2, a_aux, upsilon = float(start["sigma2"]), float(start["a"]), float(start["nu"]) / 2.0
+    A_diag = start["A"]
 
     out_coeff = np.empty((cfg.kept, k))
     out_sigma2 = np.empty(cfg.kept)

@@ -6,9 +6,9 @@ inverse Wishart. Four are two-level (the prior factor sits on an auxiliary
 node A and a conditional factor p(Sigma | A) = IGW(graph, xi, A^{-1}) links
 the two): half-t, half-Cauchy, Huang-Wand and matrix-F.
 
-``plan_prior`` maps a specification to the corresponding configuration;
-``equivalent_specs`` lists other specifications known to induce exactly the
-same prior, which planning must (and tests verify does) treat identically.
+``plan_prior`` maps a specification to the corresponding configuration.
+Specifications that induce exactly the same prior plan identically; the
+tests check this against ``equivalent_specs`` in ``tests/oracles.py``.
 """
 
 from dataclasses import dataclass
@@ -30,7 +30,6 @@ __all__ = [
     "ConditionalConfig",
     "PriorPlan",
     "plan_prior",
-    "equivalent_specs",
     "check_scales",
 ]
 
@@ -231,43 +230,4 @@ def plan_prior(spec) -> PriorPlan:
             CommonIGW(Graph.FULL, spec.nu + d - 1.0, np.linalg.inv(spec.B)),
             ConditionalConfig(spec.delta + 2.0 * d - 2.0, Graph.FULL),
         )
-    raise InvalidHyperparameter(f"unknown prior specification {type(spec).__name__}")
-
-
-def equivalent_specs(spec) -> list:
-    """Other specifications inducing the same prior distribution."""
-    if isinstance(spec, InverseChiSquaredSpec):
-        return [
-            InverseGammaSpec(spec.delta / 2.0, spec.lam / 2.0),
-            InverseWishartSpec(spec.delta, np.array([[spec.lam]])),
-        ]
-    if isinstance(spec, InverseGammaSpec):
-        return [
-            InverseChiSquaredSpec(2.0 * spec.shape, 2.0 * spec.rate),
-            InverseWishartSpec(2.0 * spec.shape, np.array([[2.0 * spec.rate]])),
-        ]
-    if isinstance(spec, InverseWishartSpec):
-        if spec.Lambda.shape[0] == 1:
-            lam = float(spec.Lambda[0, 0])
-            return [
-                InverseChiSquaredSpec(spec.kappa, lam),
-                InverseGammaSpec(spec.kappa / 2.0, lam / 2.0),
-            ]
-        return []
-    if isinstance(spec, HalfTSpec):
-        out = [HuangWandSpec((spec.scale,), spec.df)]
-        if spec.df == 1.0:
-            out.append(HalfCauchySpec(spec.scale))
-        return out
-    if isinstance(spec, HalfCauchySpec):
-        return [HalfTSpec(spec.scale, 1.0), HuangWandSpec((spec.scale,), 1.0)]
-    if isinstance(spec, HuangWandSpec):
-        if len(spec.scales) == 1:
-            out = [HalfTSpec(spec.scales[0], spec.nu)]
-            if spec.nu == 1.0:
-                out.append(HalfCauchySpec(spec.scales[0]))
-            return out
-        return []
-    if isinstance(spec, MatrixFSpec):
-        return []
     raise InvalidHyperparameter(f"unknown prior specification {type(spec).__name__}")

@@ -34,6 +34,7 @@ from .errors import (
     InvalidHyperparameter,
     NonSPDPrecision,
     NotConverged,
+    NumericalFailure,
 )
 from .graph_engine import ConvergenceReport, Factor, FactorGraph, Message, Node
 from .prior_specs import HalfCauchySpec, HuangWandSpec, check_scales, plan_prior
@@ -373,9 +374,10 @@ def extract_gaussian(
 
     The covariance comes back as ``matops.Arrowhead`` blocks, or as the
     k x k matrix with ``dense``; both come from one block Cholesky factor
-    of P. Raises NonSPDPrecision unless every eigenvalue of P exceeds
-    t = ``matops.spd_threshold`` of its diagonal (``matops.is_spd``'s rule).
-    Every eigenvalue is at least 1/trace(P^{-1}), so a covariance trace
+    of P, ``matops.arrowhead_cholesky``, which serves p and q of 1 or 2 and
+    raises DimensionMismatch otherwise. Raises NonSPDPrecision unless every
+    eigenvalue of P exceeds t = ``matops.spd_threshold`` of its diagonal
+    (``matops.is_spd``'s rule). Every eigenvalue is at least 1/trace(P^{-1}), so a covariance trace
     below 1/(2t) settles that; otherwise P - t I is factored to decide.
     """
     p, q, m = n_fixed, n_random, n_groups
@@ -385,12 +387,12 @@ def extract_gaussian(
     diagonal = np.concatenate((P.corner.diagonal(), P.blocks.diagonal(axis1=1, axis2=2).ravel()))
     threshold = matops.spd_threshold(diagonal)
     try:
-        L = matops.arrowhead_cholesky(P)
-        mean, cov = matops.arrowhead_moments(L, eta[:k], dense=dense)
+        L, v = matops.arrowhead_cholesky(P, eta[:k])
+        mean, cov = matops.arrowhead_moments(L, v, dense=dense)
         trace = cov.trace() if dense else cov.corner.trace() + cov.blocks.trace(0, 1, 2).sum()
         if not 2.0 * threshold * trace < 1.0:
-            matops.arrowhead_cholesky(P, shift=threshold)
-    except np.linalg.LinAlgError:
+            matops.arrowhead_cholesky(P, eta[:k], shift=threshold)
+    except NumericalFailure:
         raise NonSPDPrecision("natural vector implies a non-SPD precision") from None
     return mean, cov
 

@@ -1,5 +1,6 @@
 """Dense oracles for the vech maps, the block-form coefficient algebra and
-the Inverse G-Wishart density, and a reference Gibbs chain.
+the Inverse G-Wishart density, a LAPACK factor of the arrowhead, a
+reference Gibbs chain, and the prior specifications known to be equivalent.
 
 The program never calls vec or vech, and never forms the Moore-Penrose
 inverse of a duplication matrix, the n x k design C or a k x k coefficient
@@ -9,23 +10,46 @@ vector and the block solver against plain dense linear algebra.
 ``igw_log_density`` is the exact density that the marginalization and
 sampler tests integrate against.
 
-``reference_draw_random_cov`` and ``reference_draw_coefficients`` draw the
-covariance and the coefficients with generic numpy and LAPACK calls:
-``igw_sample`` on a validated ``CommonIGW``, ``np.linalg.inv`` and
-``matops.arrowhead_cholesky`` with block triangular solves. Put in place of
-``mcmc.draw_random_cov`` and ``mcmc.draw_coefficients``, they make
-``gibbs_fit`` run the reference chain that the sampler's closed forms must
-reproduce to rounding.
+``lapack_arrowhead_cholesky`` factors an arrowhead with ``np.linalg.cholesky``
+and ``np.linalg.inv``, for any p and q; ``lapack_forward`` and
+``lapack_backward`` solve with its factor. It is the reference for
+``matops.arrowhead_cholesky``'s closed forms. ``reference_draw_random_cov``
+and ``reference_draw_coefficients`` draw the covariance and the
+coefficients with generic numpy and LAPACK calls: ``igw_sample`` on a
+validated ``CommonIGW``, ``np.linalg.inv`` and the LAPACK arrowhead factor.
+Put in place of ``mcmc.draw_random_cov`` and ``mcmc.draw_coefficients``,
+they make ``gibbs_fit`` run the reference chain that the sampler's closed
+forms must reproduce to rounding.
+
+``equivalent_specs`` lists, for a prior specification, the others known to
+induce exactly the same prior, which ``prior_specs.plan_prior`` must plan
+identically.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import multigammaln
 
 from igwvmp import matops
 from igwvmp.distributions import CommonIGW, Graph, igw_sample, inv_chisq_log_density
-from igwvmp.errors import DimensionMismatch, DomainError, NonSPDPrecision, NumericalFailure
+from igwvmp.errors import (
+    DimensionMismatch,
+    DomainError,
+    InvalidHyperparameter,
+    NonSPDPrecision,
+    NumericalFailure,
+)
+from igwvmp.prior_specs import (
+    HalfCauchySpec,
+    HalfTSpec,
+    HuangWandSpec,
+    InverseChiSquaredSpec,
+    InverseGammaSpec,
+    InverseWishartSpec,
+    MatrixFSpec,
+)
 
 
 def vec(M: np.ndarray) -> np.ndarray:
@@ -209,7 +233,34 @@ def reference_draw_random_cov(rng, xi, Lam):
         raise NumericalFailure("random-effects covariance draw is singular") from exc
 
 
-def arrowhead_forward(L: matops.ArrowheadCholesky, r: np.ndarray) -> np.ndarray:
+class LapackArrowheadCholesky(NamedTuple):
+    """The block factor of ``matops.ArrowheadCholesky`` as dense arrays:
+    ``blocks`` the L_i (m x q x q) and ``blocks_inv`` their inverses,
+    ``border`` the p x mq row [K_1 ... K_m], and ``corner``/``corner_inv``
+    L_c and its inverse."""
+
+    blocks: np.ndarray
+    blocks_inv: np.ndarray
+    border: np.ndarray
+    corner: np.ndarray
+    corner_inv: np.ndarray
+
+
+def lapack_arrowhead_cholesky(a: matops.Arrowhead) -> LapackArrowheadCholesky:
+    """Block Cholesky factor of an arrowhead matrix by ``np.linalg.cholesky``
+    and ``np.linalg.inv``. Raises np.linalg.LinAlgError unless the matrix
+    is positive definite with a finite factor."""
+    m, p, q = a.border.shape
+    L = np.linalg.cholesky(a.blocks)
+    L_inv = np.linalg.inv(L)
+    K = np.swapaxes(a.border @ np.swapaxes(L_inv, -1, -2), 0, 1).reshape(p, m * q)
+    L_c = np.linalg.cholesky(a.corner - K @ K.T)
+    if not np.isfinite(L.sum() + L_c.sum()):
+        raise np.linalg.LinAlgError("arrowhead matrix is not finite")
+    return LapackArrowheadCholesky(L, L_inv, K, L_c, np.linalg.inv(L_c))
+
+
+def lapack_forward(L: LapackArrowheadCholesky, r: np.ndarray) -> np.ndarray:
     """L^{-1} r, with r and the result in corner-first order (corner
     entries, then group 1, ..., group m)."""
     p = L.corner.shape[0]
@@ -218,8 +269,8 @@ def arrowhead_forward(L: matops.ArrowheadCholesky, r: np.ndarray) -> np.ndarray:
     return np.concatenate((v_corner, v_groups))
 
 
-def arrowhead_backward(L: matops.ArrowheadCholesky, v: np.ndarray) -> np.ndarray:
-    """L^{-T} v, in the same order as ``arrowhead_forward``."""
+def lapack_backward(L: LapackArrowheadCholesky, v: np.ndarray) -> np.ndarray:
+    """L^{-T} v, in the same order as ``lapack_forward``."""
     p = L.corner.shape[0]
     x_corner = L.corner_inv.T @ v[:p]
     w = v[p:] - L.border.T @ x_corner
@@ -228,7 +279,7 @@ def arrowhead_backward(L: matops.ArrowheadCholesky, v: np.ndarray) -> np.ndarray
 
 
 def reference_draw_coefficients(rng, y, design, b, sigma2, Sigma_inv, fixed_scale):
-    """``mcmc.draw_coefficients`` by ``matops.arrowhead_cholesky`` and its
+    """``mcmc.draw_coefficients`` by ``lapack_arrowhead_cholesky`` and its
     block triangular solves: L^{-T}(L^{-1} C'Wy/sigma2 + z)."""
     p, q, m = design.n_fixed, design.n_random, design.n_groups
     cross_y, gram = design.weighted_cross(1.0 / b, y)
@@ -239,8 +290,52 @@ def reference_draw_coefficients(rng, y, design, b, sigma2, Sigma_inv, fixed_scal
         CtWC.blocks / sigma2 + 0.5 * (Sigma_inv + Sigma_inv.T),
     )
     try:
-        L = matops.arrowhead_cholesky(M)
+        L = lapack_arrowhead_cholesky(M)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure("coefficient conditional precision is not SPD") from exc
     z = rng.standard_normal(design.n_coefficients)
-    return arrowhead_backward(L, arrowhead_forward(L, cross_y / sigma2) + z)
+    return lapack_backward(L, lapack_forward(L, cross_y / sigma2) + z)
+
+
+# ---------------------------------------------------------------------------
+# prior specifications inducing the same prior
+# ---------------------------------------------------------------------------
+
+
+def equivalent_specs(spec) -> list:
+    """Other specifications inducing the same prior distribution."""
+    if isinstance(spec, InverseChiSquaredSpec):
+        return [
+            InverseGammaSpec(spec.delta / 2.0, spec.lam / 2.0),
+            InverseWishartSpec(spec.delta, np.array([[spec.lam]])),
+        ]
+    if isinstance(spec, InverseGammaSpec):
+        return [
+            InverseChiSquaredSpec(2.0 * spec.shape, 2.0 * spec.rate),
+            InverseWishartSpec(2.0 * spec.shape, np.array([[2.0 * spec.rate]])),
+        ]
+    if isinstance(spec, InverseWishartSpec):
+        if spec.Lambda.shape[0] == 1:
+            lam = float(spec.Lambda[0, 0])
+            return [
+                InverseChiSquaredSpec(spec.kappa, lam),
+                InverseGammaSpec(spec.kappa / 2.0, lam / 2.0),
+            ]
+        return []
+    if isinstance(spec, HalfTSpec):
+        out = [HuangWandSpec((spec.scale,), spec.df)]
+        if spec.df == 1.0:
+            out.append(HalfCauchySpec(spec.scale))
+        return out
+    if isinstance(spec, HalfCauchySpec):
+        return [HalfTSpec(spec.scale, 1.0), HuangWandSpec((spec.scale,), 1.0)]
+    if isinstance(spec, HuangWandSpec):
+        if len(spec.scales) == 1:
+            out = [HalfTSpec(spec.scales[0], spec.nu)]
+            if spec.nu == 1.0:
+                out.append(HalfCauchySpec(spec.scales[0]))
+            return out
+        return []
+    if isinstance(spec, MatrixFSpec):
+        return []
+    raise InvalidHyperparameter(f"unknown prior specification {type(spec).__name__}")

@@ -5,14 +5,15 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from igwvmp import matops
-from igwvmp.errors import DimensionMismatch
+from igwvmp.errors import DimensionMismatch, NumericalFailure
 from oracles import (
-    arrowhead_backward,
-    arrowhead_forward,
     blockdiag,
     dense_arrowhead,
     duplication_pinv,
     is_spd_by_eigenvalues,
+    lapack_arrowhead_cholesky,
+    lapack_backward,
+    lapack_forward,
     vec,
     vec_inverse,
     vech,
@@ -213,10 +214,20 @@ def _random_arrowhead(rng, p, q, m):
     return a._replace(corner=a.corner + shift * np.eye(p), blocks=a.blocks + shift * np.eye(q))
 
 
+def dense_factor(L: matops.ArrowheadCholesky) -> np.ndarray:
+    """The k x k lower-triangular factor, groups first and corner last."""
+    p, mq = L.border.shape
+    out = np.zeros((p + mq, p + mq))
+    out[:mq, :mq] = blockdiag(list(np.tril(matops._vech_matrix(L.blocks))))
+    out[mq:, :mq] = L.border
+    out[mq:, mq:] = np.tril(matops._vech_matrix(L.corner))
+    return out
+
+
 @given(
     st.integers(min_value=0, max_value=2**32 - 1),
     st.sampled_from([1, 2]),
-    st.sampled_from([1, 2, 3]),
+    st.sampled_from([1, 2]),
     st.integers(min_value=1, max_value=6),
 )
 @settings(max_examples=40, deadline=None)
@@ -224,38 +235,57 @@ def test_arrowhead_factor_solves_and_inverse_match_dense(seed, p, q, m):
     rng = np.random.default_rng(seed)
     a = _random_arrowhead(rng, p, q, m)
     P = dense_arrowhead(a)
-    L = matops.arrowhead_cholesky(a)
+    r = rng.standard_normal(P.shape[0])
+    L, v = matops.arrowhead_cholesky(a, r)
     # with the groups first and the corner last the factor has no fill
     order = np.r_[p : p + m * q, :p]
-    dense_L = np.zeros_like(P)
-    dense_L[: m * q, : m * q] = blockdiag(list(L.blocks))
-    dense_L[m * q :, : m * q] = L.border
-    dense_L[m * q :, m * q :] = L.corner
+    dense_L = dense_factor(L)
     assert_allclose(dense_L @ dense_L.T, P[np.ix_(order, order)], rtol=1e-12, atol=1e-12)
-    assert_allclose(L.blocks_inv, np.linalg.inv(L.blocks), rtol=1e-12, atol=1e-12)
-    assert_allclose(L.corner_inv, np.linalg.inv(L.corner), rtol=1e-12, atol=1e-12)
+    # the closed-form inverses (L L^T)^{-1} of the group and corner factors
+    groups = matops._vech_matrix(matops._inverse_gram(L.blocks))
+    assert_allclose(groups, np.linalg.inv(a.blocks), rtol=1e-12, atol=1e-12)
+    corner = dense_L[m * q :, m * q :]
+    want = np.linalg.inv(corner @ corner.T)
+    got = matops._vech_matrix(matops._inverse_gram(L.corner))
+    assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
-    r = rng.standard_normal(P.shape[0])
-    v = arrowhead_forward(L, r)
     assert_allclose(v[order], np.linalg.solve(dense_L, r[order]), rtol=1e-10, atol=1e-10)
-    assert_allclose(arrowhead_backward(L, v), np.linalg.solve(P, r), rtol=1e-9, atol=1e-10)
+    assert_allclose(matops.arrowhead_backward(L, v), np.linalg.solve(P, r), rtol=1e-9, atol=1e-10)
     inverse = np.linalg.inv(P)
-    mean, cov = matops.arrowhead_moments(L, r, dense=True)
+    mean, cov = matops.arrowhead_moments(L, v, dense=True)
     assert_allclose(mean, inverse @ r, rtol=1e-9, atol=1e-10)
     assert_allclose(cov, inverse, rtol=1e-9, atol=1e-10)
-    mean_blocks, blocks = matops.arrowhead_moments(L, r)
+    mean_blocks, blocks = matops.arrowhead_moments(L, v)
     assert_array_equal(mean_blocks, mean)
     assert_allclose(dense_arrowhead(blocks), inverse * (dense_arrowhead(a) != 0), atol=1e-10)
+
+    # the LAPACK reference factor and its solves
+    ref = lapack_arrowhead_cholesky(a)
+    dense_ref = np.zeros_like(P)
+    dense_ref[: m * q, : m * q] = blockdiag(list(ref.blocks))
+    dense_ref[m * q :, : m * q] = ref.border
+    dense_ref[m * q :, m * q :] = ref.corner
+    assert_allclose(dense_L, dense_ref, rtol=1e-12, atol=1e-12)
+    assert_allclose(v, lapack_forward(ref, r), rtol=1e-10, atol=1e-10)
+    assert_allclose(mean, lapack_backward(ref, lapack_forward(ref, r)), rtol=1e-9, atol=1e-10)
 
 
 def test_arrowhead_cholesky_shift_and_non_finite_input():
     a = matops.Arrowhead(np.eye(1), np.zeros((2, 1, 1)), np.full((2, 1, 1), 0.5))
-    matops.arrowhead_cholesky(a, shift=0.4)
-    with pytest.raises(np.linalg.LinAlgError):
-        matops.arrowhead_cholesky(a, shift=0.5)
+    h = np.ones(3)
+    matops.arrowhead_cholesky(a, h, shift=0.4)
+    with pytest.raises(NumericalFailure):
+        matops.arrowhead_cholesky(a, h, shift=0.5)
     bad = a._replace(blocks=np.array([[[0.5]], [[np.nan]]]))
-    with pytest.raises(np.linalg.LinAlgError):
-        matops.arrowhead_cholesky(bad)
+    with pytest.raises(NumericalFailure):
+        matops.arrowhead_cholesky(bad, h)
+
+
+@pytest.mark.parametrize("p, q", [(3, 1), (1, 3), (2, 3), (3, 3)])
+def test_arrowhead_cholesky_serves_p_and_q_of_one_or_two(p, q):
+    a = _random_arrowhead(np.random.default_rng(p + q), p, q, 2)
+    with pytest.raises(DimensionMismatch):
+        matops.arrowhead_cholesky(a, np.ones(p + 2 * q))
 
 
 @pytest.mark.parametrize("p, q, m", [(1, 1, 1), (2, 2, 3), (2, 3, 2), (1, 2, 4)])

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.stats import gaussian_kde, kstest, norm
 from scipy.stats import t as t_dist
 
@@ -154,6 +154,50 @@ def test_coefficient_draw_rejects_a_non_spd_precision():
         )
 
 
+def test_three_random_effects_raise_dimension_mismatch():
+    # the arrowhead factor serves the designs' p and q of 1 or 2
+    rng = np.random.default_rng(4)
+    group = np.repeat(np.arange(3), 5)
+    des = tlmm.DesignInfo(rng.standard_normal((15, 2)), rng.standard_normal((15, 3)), group, 3)
+    y, b = rng.standard_normal(15), np.ones(15)
+    with pytest.raises(DimensionMismatch):
+        mcmc.draw_coefficients(_FixedNormal(), y, des, b, 0.5, np.eye(3), 10.0)
+    k = des.n_coefficients
+    identity = matops.Arrowhead(np.eye(2), np.zeros((3, 2, 3)), np.array([np.eye(3)] * 3))
+    eta = np.concatenate((np.zeros(k), -0.5 * matops.ravel_arrowhead(identity)))
+    with pytest.raises(DimensionMismatch):
+        tlmm.extract_gaussian(eta, 2, 3, 3)
+
+
+def test_both_engines_factor_the_coefficients_in_matops(monkeypatch):
+    calls = []
+    factor = matops.arrowhead_cholesky
+
+    def spy(a, h, shift=0.0):
+        calls.append(a.border.shape)
+        return factor(a, h, shift)
+
+    monkeypatch.setattr(matops, "arrowhead_cholesky", spy)
+    data, _ = tlmm.simulate(seed=2, n_groups=5, group_size=6)
+    mcmc.gibbs_fit(data, cfg=mcmc.GibbsConfig(warmup=0, kept=1, seed=0))
+    assert calls == [(5, 2, 2)]
+    graph = tlmm.build_graph(data, tlmm.TLMMHyper.diffuse(2))
+    graph.run(tol=1e-10, max_iters=1)
+    assert len(calls) > 1 and set(calls) == {(5, 2, 2)}
+
+    # the coefficient draw and the Gaussian extraction call no LAPACK routine
+    def lapack(*args, **kwargs):
+        raise AssertionError("np.linalg on the coefficient path")
+
+    args, _, _ = _draw_setting()
+    eta = graph.q_star("coefficients").eta
+    for name in ("cholesky", "inv", "solve"):
+        monkeypatch.setattr(np.linalg, name, lapack)
+    mcmc.draw_coefficients(np.random.default_rng(0), *args)
+    tlmm.extract_gaussian(eta, 2, 2, 5)
+    tlmm.extract_gaussian(eta, 2, 2, 5, dense=True)
+
+
 class _FixedBartlett:
     """An rng stand-in for one covariance draw: fixed Bartlett normals and
     chi-square draws."""
@@ -188,14 +232,14 @@ def test_singular_covariance_draw_raises():
 
 
 # ---------------------------------------------------------------------------
-# the sampler's closed-form q x q and p x p algebra
+# the closed-form q x q and p x p algebra of ``matops``
 # ---------------------------------------------------------------------------
 
 EPS = np.finfo(float).eps
 
 
 def _vech(M):
-    """Python floats, as ``mcmc._symmetric_vech`` gives them."""
+    """Python floats, as ``matops._symmetric_vech`` gives them."""
     return tuple(float(M[i, j]) for i, j in ((0, 0), (1, 0), (1, 1)) if i < M.shape[0])
 
 
@@ -252,7 +296,7 @@ def _lapack_factor(M):
 def test_closed_form_spd_verdict_is_is_spd(kind):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = [mcmc._is_spd(_vech(M)) for M in SMALL_MATRICES[kind]]
+        got = [matops._is_spd(_vech(M)) for M in SMALL_MATRICES[kind]]
     assert got == [matops.is_spd(M) for M in SMALL_MATRICES[kind]]
 
 
@@ -264,9 +308,9 @@ def test_closed_form_factor_matches_lapack(kind):
             warnings.simplefilter("error")
             if want is None:
                 with pytest.raises(NumericalFailure):
-                    mcmc._cholesky(_vech(M), "M")
+                    matops._cholesky(_vech(M), "M")
                 continue
-            got = mcmc._cholesky(_vech(M), "M")
+            got = matops._cholesky(_vech(M), "M")
         assert_allclose(got[:2], _vech(want)[:2], rtol=4 * EPS, atol=0.0)
         if len(got) == 3:
             # the last pivot cancels: its error is about eps M_22 / L_22
@@ -277,16 +321,80 @@ def test_closed_form_group_factors_match_lapack():
     blocks = [M for Ms in SMALL_MATRICES.values() for M in Ms if M.shape == (2, 2)]
     spd = np.array([M for M in blocks if _lapack_factor(M) is not None])
     want = np.linalg.cholesky(spd)
-    got = mcmc._group_factors(tuple(spd[:, i, j] for i, j in ((0, 0), (1, 0), (1, 1))))
+    got = matops._group_factors(tuple(spd[:, i, j] for i, j in ((0, 0), (1, 0), (1, 1))))
     assert_allclose(got[0], want[:, 0, 0], rtol=4 * EPS, atol=0.0)
     assert_allclose(got[1], want[:, 1, 0], rtol=4 * EPS, atol=0.0)
     assert np.all(np.abs(got[2] - want[:, 1, 1]) <= 4 * EPS * spd[:, 1, 1] / want[:, 1, 1])
     bad = np.array([M for M in blocks if _lapack_factor(M) is None])
     with np.errstate(all="ignore"):
-        got = mcmc._group_factors(tuple(bad[:, i, j] for i, j in ((0, 0), (1, 0), (1, 1))))
+        got = matops._group_factors(tuple(bad[:, i, j] for i, j in ((0, 0), (1, 0), (1, 1))))
     # a failing block leaves a factor that is not finite with positive pivots
     ok = (got[0] > 0) & (got[2] > 0) & np.all(np.isfinite(got), axis=0)
     assert not np.any(ok)
+
+
+def _largest(x):
+    """The largest absolute entry, which unlike a 2-norm cannot overflow."""
+    return float(np.max(np.abs(x)))
+
+
+def _small_arrowheads(M, p, q):
+    """Arrowheads with a zero border and M as the middle of three group
+    blocks (when M is q x q) or as the corner (when M is p x p)."""
+    corner, blocks = 2.0 * np.eye(p), np.array([np.eye(q), 3.0 * np.eye(q), 0.5 * np.eye(q)])
+    if M.shape == (q, q):
+        yield matops.Arrowhead(corner, np.zeros((3, p, q)), np.array([blocks[0], M, blocks[2]]))
+    if M.shape == (p, p):
+        yield matops.Arrowhead(M, np.zeros((3, p, q)), blocks)
+
+
+@pytest.mark.parametrize("kind", SMALL_MATRICES)
+@pytest.mark.parametrize("p, q", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_arrowhead_factor_matches_lapack_on_small_matrices(kind, p, q):
+    # the closed-form factor, its solves and its moments against the LAPACK
+    # reference; where that fails, a NumericalFailure and no warning
+    rng = np.random.default_rng(8)
+    for M in SMALL_MATRICES[kind]:
+        for a in _small_arrowheads(M, p, q):
+            h = rng.standard_normal(p + 3 * q)
+            with np.errstate(all="ignore"):
+                try:
+                    ref = oracles.lapack_arrowhead_cholesky(a)
+                except np.linalg.LinAlgError:
+                    ref = None
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if ref is None:
+                    with pytest.raises(NumericalFailure):
+                        matops.arrowhead_cholesky(a, h)
+                    continue
+                L, v = matops.arrowhead_cholesky(a, h)
+            # the block holding M matches as the closed forms of M's factor do
+            got, want = (L.blocks, L.corner), (ref.blocks[1], ref.corner)
+            which = 0 if a.corner is not M else 1
+            factor, lapack = got[which], want[which]
+            if which == 0:
+                factor = tuple(f[1] for f in factor)
+            assert_allclose(factor[:2], _vech(lapack)[:2], rtol=4 * EPS, atol=0.0)
+            if len(factor) == 3:
+                assert abs(factor[2] - lapack[1, 1]) <= 4 * EPS * M[1, 1] / lapack[1, 1]
+            P = oracles.dense_arrowhead(a)
+            with np.errstate(all="ignore"):
+                v_ref = oracles.lapack_forward(ref, h)
+                x_ref = oracles.lapack_backward(ref, v_ref)
+                cov_ref = np.linalg.inv(P)
+            # a variance of 1e323 overflows, in the reference as here
+            if not np.all(np.isfinite(x_ref) & np.isfinite(cov_ref).all()):
+                continue
+            # the last pivot of a near-singular block carries a relative
+            # error of about eps cond(P) in either factor
+            bound = 100 * float(EPS) * float(np.linalg.cond(P))
+            assert _largest(v - v_ref) <= bound * _largest(v_ref)
+            x = matops.arrowhead_backward(L, v)
+            assert _largest(x - x_ref) <= bound * _largest(x_ref)
+            mean, cov = matops.arrowhead_moments(L, v, dense=True)
+            assert_array_equal(mean, x)
+            assert _largest(cov - cov_ref) <= bound * _largest(cov_ref)
 
 
 @pytest.mark.parametrize("q", [1, 2])
@@ -488,11 +596,10 @@ def stationarity_failures(data, summary, seeds, kept=500):
     - spread: the pooled sd is at least a tenth of the VMP posterior sd,
       which a chain that does not move fails.
     """
-    delta, lam, cov = summary.noise_delta, summary.noise_lambda, summary.variance
+    delta, lam = summary.noise_delta, summary.noise_lambda
     init = {
         "coefficients": summary.coefficient_mean,
         "sigma2": lam / (delta - 2.0),
-        "Sigma": cov.Lambda / (cov.xi - 2 * cov.dim),
         "nu": summary.df_mean(),
     }
     chains = [
@@ -539,12 +646,38 @@ def test_stationarity_when_started_from_vmp_means(small_chain):
 
 def test_init_shape_mismatch_raises(small_chain):
     data, _, _ = small_chain
-    with pytest.raises(DimensionMismatch):
-        mcmc.gibbs_fit(
-            data,
-            cfg=mcmc.GibbsConfig(warmup=0, kept=1, seed=0),
-            init={"coefficients": np.zeros(3)},
-        )
+    cases = [
+        ({"coefficients": np.zeros(3)}, DimensionMismatch),
+        ({"A": np.ones(3)}, DimensionMismatch),
+        ({"sigma2": np.ones(2)}, DimensionMismatch),
+        # keys the sampler does not read: Sigma and b are drawn before use
+        ({"sigma": 1.0}, InvalidHyperparameter),
+        ({"Sigma": 1e9 * np.eye(2)}, InvalidHyperparameter),
+        ({"b": 7.0}, InvalidHyperparameter),
+        ({"nu": -3.0}, InvalidHyperparameter),
+        ({"a": -1.0}, InvalidHyperparameter),
+        ({"sigma2": np.nan}, InvalidHyperparameter),
+        ({"sigma2": 0.0}, InvalidHyperparameter),
+        ({"A": np.array([1.0, np.inf])}, InvalidHyperparameter),
+        ({"coefficients": np.full(14, np.nan)}, InvalidHyperparameter),
+        ({"nu": "three"}, InvalidHyperparameter),
+    ]
+    for init, error in cases:
+        with pytest.raises(error):
+            mcmc.gibbs_fit(data, cfg=mcmc.GibbsConfig(warmup=0, kept=1, seed=0), init=init)
+
+
+def test_init_sets_the_blocks_read_before_they_are_drawn(small_chain):
+    data, _, _ = small_chain
+    cfg = mcmc.GibbsConfig(warmup=0, kept=3, seed=0)
+    default = mcmc.gibbs_fit(data, cfg=cfg)
+    init = {"coefficients": np.zeros(14), "sigma2": 1.0, "a": 1.0, "A": np.ones(2), "nu": 2.0}
+    same = mcmc.gibbs_fit(data, cfg=cfg, init=init)
+    for got, want in zip(same[1:], default[1:]):
+        assert np.array_equal(got, want)
+    for name, value in (("sigma2", 40.0), ("a", 1e-6), ("A", np.full(2, 1e-6)), ("nu", 50.0)):
+        moved = mcmc.gibbs_fit(data, cfg=cfg, init={name: value})
+        assert not np.array_equal(moved.coefficients, default.coefficients), name
 
 
 def test_df_half_conditional_sampler_mean():

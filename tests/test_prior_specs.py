@@ -18,9 +18,9 @@ from igwvmp.prior_specs import (
     InverseGammaSpec,
     InverseWishartSpec,
     MatrixFSpec,
-    equivalent_specs,
     plan_prior,
 )
+from oracles import equivalent_specs
 
 
 def assert_plans_equal(a, b):
