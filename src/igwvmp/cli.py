@@ -52,16 +52,14 @@ class CommandError(Exception):
 
 
 def write_data_csv(path, data: tlmm.TLMMData):
-    """Rows sorted by group; floats written in round-trip precision."""
-    order = np.argsort(data.group, kind="stable")
+    """Rows in group order, as ``TLMMData`` stores them; floats written in
+    round-trip precision."""
     try:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_HEADER)
-            for i in order:
-                writer.writerow(
-                    [int(data.group[i]), repr(float(data.y[i])), repr(float(data.x[i]))]
-                )
+            for g, y, x in zip(data.group.tolist(), data.y.tolist(), data.x.tolist()):
+                writer.writerow([g, repr(y), repr(x)])
     except OSError as exc:
         raise CommandError(f"cannot write {path}: {exc}")
 

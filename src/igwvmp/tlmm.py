@@ -85,16 +85,17 @@ FACTOR_NAMES = (
 @dataclass(frozen=True)
 class TLMMData:
     """Grouped regression data: responses, a scalar predictor, and
-    zero-based group labels covering 0..m-1."""
+    zero-based group labels covering 0..m-1. The rows may come in any
+    order; they are stored stably sorted by group, as ``DesignInfo`` needs."""
 
     y: np.ndarray
     x: np.ndarray
     group: np.ndarray
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float).copy()
-        x = np.asarray(self.x, dtype=float).copy()
-        group = np.asarray(self.group).copy()
+        y = np.asarray(self.y, dtype=float)
+        x = np.asarray(self.x, dtype=float)
+        group = np.asarray(self.group)
         if y.ndim != 1 or x.shape != y.shape or group.shape != y.shape:
             raise DimensionMismatch(
                 f"y, x, group must be equal-length vectors, got "
@@ -108,9 +109,12 @@ class TLMMData:
             raise DimensionMismatch("data must contain at least one observation")
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x))):
             raise DomainError("y and x must be finite (no NaN or infinity)")
+        # fancy indexing copies, so the caller's arrays stay writable
+        order = np.argsort(group, kind="stable")
+        y, x, group = y[order], x[order], group[order]
         # the sorted labels start at 0 and step by at most 1; np.unique
         # would import numpy.ma (about 12 ms) on every command
-        if group.min() != 0 or np.any(np.diff(np.sort(group)) > 1):
+        if group[0] != 0 or np.any(np.diff(group) > 1):
             raise DimensionMismatch(
                 "group labels must cover 0..m-1 with every label present"
             )
@@ -126,7 +130,7 @@ class TLMMData:
 
     @property
     def n_groups(self) -> int:
-        return int(self.group.max()) + 1
+        return int(self.group[-1]) + 1
 
 
 @dataclass(frozen=True)
@@ -167,21 +171,21 @@ class DesignInfo:
     in the p fixed-effect columns, Z[l] in the q columns of group[l]'s
     random effects and zeros elsewhere.
 
-    C itself is never formed. Products with it gather per row. Sums over
-    its rows are ``np.bincount``s of per-row entries fixed at construction:
-    C^T W C of x x^T, x z^T and z z^T, raveled, whose bins are their
-    positions in ``matops.ravel_arrowhead``, and C^T W y of x and z, whose
-    bins are their coefficients' positions.
+    C itself is never formed. The labels must be sorted and cover 0..m-1,
+    so each group's rows are one segment. Products with C repeat a group's
+    coefficients over its segment. Sums over rows of the per-row x x^T and
+    of [x z^T; z z^T] (raveled) are a matrix-vector product for the corner
+    and an ``np.add.reduceat`` over the segments for the groups' entries.
     """
 
     X: np.ndarray
     Z: np.ndarray
     group: np.ndarray
     n_groups: int
-    _quad: np.ndarray = field(init=False, repr=False)
-    _values: np.ndarray = field(init=False, repr=False)
-    _columns: np.ndarray = field(init=False, repr=False)
-    _bins: np.ndarray = field(init=False, repr=False)
+    _corner_terms: np.ndarray = field(init=False, repr=False)
+    _group_terms: np.ndarray = field(init=False, repr=False)
+    _starts: np.ndarray = field(init=False, repr=False)
+    _counts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         X = np.array(self.X, dtype=float)
@@ -192,40 +196,23 @@ class DesignInfo:
             raise DimensionMismatch(
                 f"X {X.shape}, Z {Z.shape} and group {group.shape} must share their rows"
             )
-        if n and not (0 <= group.min() and group.max() < m):
-            raise DimensionMismatch(f"group labels must lie in 0..{m - 1}")
-        p, q = X.shape[1], Z.shape[1]
-        quad = np.concatenate(
-            (
-                (X[:, :, None] * X[:, None, :]).reshape(n, p * p),
-                (X[:, :, None] * Z[:, None, :]).reshape(n, p * q),
-                (Z[:, :, None] * Z[:, None, :]).reshape(n, q * q),
-            ),
-            axis=1,
-        )
-        # a row's entries sit in the corner (shared by all groups) and in
-        # its own group's border, block and coefficients
-        at = matops.unravel_arrowhead(np.arange(matops.arrowhead_len(p, q, m)), p, q, m)
-        bins = np.concatenate(
-            (
-                np.broadcast_to(at.corner.ravel(), (n, p * p)),
-                at.border[group].reshape(n, p * q),
-                at.blocks[group].reshape(n, q * q),
-            ),
-            axis=1,
-        ).astype(np.intp)
-        columns = np.concatenate(
-            (np.broadcast_to(np.arange(p), (n, p)), p + group[:, None] * q + np.arange(q)),
-            axis=1,
-        )
+        # the first label of each run; reduceat would misread a split or
+        # missing segment
+        starts = np.flatnonzero(np.diff(group, prepend=-1))
+        if n == 0 or not np.array_equal(group[starts], np.arange(m)):
+            raise DimensionMismatch(
+                f"group labels must run 0..{m - 1} in sorted order with every label present"
+            )
+        # a row's x z^T and z z^T stacked as the (p + q) x q block [x; z] z^T
+        XZ = np.concatenate((X, Z), axis=1)
         fields = {
             "X": X,
             "Z": Z,
             "group": group,
-            "_quad": quad,
-            "_values": np.concatenate((X, Z), axis=1),
-            "_columns": columns,
-            "_bins": bins,
+            "_corner_terms": (X[:, :, None] * X[:, None, :]).reshape(n, -1),
+            "_group_terms": (XZ[:, :, None] * Z[:, None, :]).reshape(n, -1),
+            "_starts": starts,
+            "_counts": np.diff(starts, append=n),
         }
         for name, value in fields.items():
             value.flags.writeable = False
@@ -245,26 +232,28 @@ class DesignInfo:
 
     def predict(self, coefficients: np.ndarray) -> np.ndarray:
         """C theta for theta = (beta, u_1, ..., u_m)."""
-        return np.einsum("lj,lj->l", self._values, coefficients.take(self._columns))
+        p, q = self.n_fixed, self.n_random
+        u = coefficients[p:].reshape(-1, q).repeat(self._counts, axis=0)
+        # the row-wise dot of Z and u: a product with ones sums its q terms
+        # faster than einsum does
+        return self.X @ coefficients[:p] + (self.Z * u) @ np.ones(q)
 
     def row_variance(self, cov: matops.Arrowhead) -> np.ndarray:
         """diag(C S C^T) for a symmetric S given by its arrowhead blocks."""
         # each border entry stands for itself and its transposed copy
-        flat = matops.ravel_arrowhead(cov._replace(border=2.0 * cov.border))
-        return np.einsum("le,le->l", self._quad, flat.take(self._bins))
+        groups = np.concatenate((2.0 * cov.border, cov.blocks), axis=1).reshape(self.n_groups, -1)
+        rows = groups.repeat(self._counts, axis=0)
+        corner = self._corner_terms @ cov.corner.ravel()
+        return corner + np.einsum("le,le->l", self._group_terms, rows)
 
     def weighted_cross(self, w: np.ndarray, y: np.ndarray):
         """(C^T W y, ``matops.ravel_arrowhead`` of C^T W C) for W = diag(w)."""
-        arrow = matops.arrowhead_len(self.n_fixed, self.n_random, self.n_groups)
-        gram = np.bincount(
-            self._bins.ravel(), (self._quad * w[:, None]).ravel(), minlength=arrow
-        )
-        cross_y = np.bincount(
-            self._columns.ravel(),
-            (self._values * (w * y)[:, None]).ravel(),
-            minlength=self.n_coefficients,
-        )
-        return cross_y, gram
+        pq = self.n_fixed * self.n_random
+        groups = np.add.reduceat(w[:, None] * self._group_terms, self._starts)
+        gram = np.concatenate((w @ self._corner_terms, groups[:, :pq], groups[:, pq:]), axis=None)
+        wy = w * y
+        by_group = np.add.reduceat(wy[:, None] * self.Z, self._starts)
+        return np.concatenate((wy @ self.X, by_group), axis=None), gram
 
 
 class TLMMTruth(NamedTuple):

@@ -236,6 +236,30 @@ def test_fit_vmp_json_regenerates_common(vmp_json):
     assert ups.beta == pytest.approx(d["upsilon"]["beta"], abs=1e-10)
 
 
+def test_fit_vmp_is_invariant_to_the_row_order(tmp_path):
+    # the shipped example, and its rows in a random order
+    grouped, shuffled = tmp_path / "grouped.csv", tmp_path / "shuffled.csv"
+    assert main(["simulate", "--output", str(grouped), "--seed", "1"]) == 0
+    header, *rows = grouped.read_text().splitlines()
+    order = np.random.default_rng(0).permutation(len(rows))
+    shuffled.write_text("\n".join([header, *(rows[i] for i in order)]) + "\n")
+    assert not np.array_equal(read_data_csv(shuffled).y, read_data_csv(grouped).y)
+    fits = []
+    for path in (grouped, shuffled):
+        out = path.with_suffix(".json")
+        assert main(["fit-vmp", "--input", str(path), "--output", str(out)]) == 0
+        fits.append(json.loads(out.read_text()))
+    want, got = fits
+    assert got["iterations"] == want["iterations"]
+    # within a group the rows are summed in another order, so the blocks
+    # agree to rounding
+    for name in ("beta_u", "sigma2", "Sigma", "upsilon", "nu_density"):
+        for key, value in want[name].items():
+            value = np.asarray(value)
+            gap = np.max(np.abs(np.asarray(got[name][key]) - value))
+            assert gap <= 1e-10 * np.max(np.abs(value)), (name, key)
+
+
 def test_fit_vmp_not_converged(small_csv, tmp_path, capsys):
     out = tmp_path / "nc.json"
     rc = main(["fit-vmp", "--input", str(small_csv), "--output", str(out), "--max-iters", "3"])

@@ -163,7 +163,10 @@ class TestMoonRockPrior:
 
 def random_design(rng, p, q, m, n):
     group = np.arange(n) % m
+    # the shuffle keeps the later draws as they were; DesignInfo reads its
+    # rows in group order
     rng.shuffle(group)
+    group.sort()
     return tlmm.DesignInfo(rng.standard_normal((n, p)), rng.standard_normal((n, q)), group, m)
 
 

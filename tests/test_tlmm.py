@@ -112,10 +112,11 @@ def test_assemble_design_block_structure():
     data = tlmm.TLMMData(np.zeros(3), np.array([0.5, 2.0, 1.0]), np.array([1, 0, 1]))
     des = tlmm.assemble_design(data, "slope")
     assert (des.n_fixed, des.n_random, des.n_groups) == (2, 2, 2)
+    # the rows come in group order: group 0's x = 2.0, then group 1's
     expected = np.array(
         [
-            [1.0, 0.5, 0.0, 0.0, 1.0, 0.5],
             [1.0, 2.0, 1.0, 2.0, 0.0, 0.0],
+            [1.0, 0.5, 0.0, 0.0, 1.0, 0.5],
             [1.0, 1.0, 0.0, 0.0, 1.0, 1.0],
         ]
     )
@@ -124,7 +125,7 @@ def test_assemble_design_block_structure():
     des_i = tlmm.assemble_design(data, "intercept")
     assert (des_i.n_fixed, des_i.n_random) == (2, 1)
     assert np.array_equal(
-        dense_design(des_i)[:, 2:], np.array([[0, 1], [1, 0], [0, 1]], dtype=float)
+        dense_design(des_i)[:, 2:], np.array([[1, 0], [0, 1], [0, 1]], dtype=float)
     )
 
     with pytest.raises(InvalidHyperparameter):
@@ -154,9 +155,24 @@ def test_design_rows_encode_group_membership(seed, design):
     assert np.allclose(dense_design(des) @ np.concatenate((truth.beta, truth.u.ravel())), data.y)
 
 
+@pytest.mark.parametrize(
+    "group, m",
+    [([0, 1, 0, 1], 2), ([0, 0, 2, 2], 3), ([], 1)],
+    ids=["shuffled", "missing label", "empty"],
+)
+def test_design_rejects_rows_out_of_group_order(group, m):
+    # reduceat would misread a segment that is split or missing
+    n = len(group)
+    with pytest.raises(DimensionMismatch, match="sorted order"):
+        tlmm.DesignInfo(np.ones((n, 2)), np.ones((n, 1)), np.array(group, dtype=int), m)
+
+
 def _random_design(rng, p, q, m, n_per_group=3):
     group = np.repeat(np.arange(m), n_per_group)
+    # the shuffle keeps the later draws as they were; DesignInfo reads its
+    # rows in group order
     rng.shuffle(group)
+    group.sort()
     return tlmm.DesignInfo(
         rng.standard_normal((group.size, p)), rng.standard_normal((group.size, q)), group, m
     )
@@ -292,6 +308,19 @@ def test_data_validation():
         tlmm.TLMMData(np.zeros(3), np.zeros(3), np.array([0.0, 0.5, 1.0]))
     data = tlmm.TLMMData(np.zeros(3), np.zeros(3), np.array([1, 0, 1]))
     assert data.n_groups == 2
+
+
+def test_data_rows_come_stably_sorted_by_group():
+    y = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+    x = 10.0 + y
+    group = np.array([2, 0, 1, 0, 2])
+    data = tlmm.TLMMData(y, x, group)
+    assert np.array_equal(data.group, [0, 0, 1, 2, 2])
+    assert np.array_equal(data.y, [1.0, 3.0, 2.0, 0.0, 4.0])
+    assert np.array_equal(data.x, 10.0 + data.y)
+    # the caller's arrays are copied, not reordered in place
+    assert np.array_equal(group, [2, 0, 1, 0, 2])
+    assert y.flags.writeable
 
 
 @pytest.mark.parametrize("field", ["y", "x"])
