@@ -26,6 +26,7 @@ from .errors import (
     InvalidHyperparameter,
     InvalidShape,
     NonSPDScale,
+    NumericalFailure,
 )
 
 __all__ = [
@@ -280,20 +281,34 @@ def combined_mean_inverse(eta: np.ndarray, graph: Graph) -> np.ndarray:
 
     The formula is applied to the raw vector, which need not itself be a
     proper density (a combined node message can have eta1 between -d and -1
-    for the full graph). Raises ImproperMessage when the vector does not
-    give a finite, positive definite mean inverse.
+    for the full graph). The diag graph reads only the diagonal entries of
+    eta2. Raises ImproperMessage when the vector does not give a finite,
+    positive definite mean inverse (``matops.is_spd``'s rule for the full
+    graph, a positive diagonal for diag).
+
+    For d <= 2, the variance nodes of the mixed model, the formula is taken
+    in closed form on Python floats: the diag graph's diagonal entry by
+    entry, and the full graph's 2 x 2 inverse from the Cholesky factor of
+    -vec^{-1}(D^{+T} eta2), which a positive definite mean inverse needs.
+    Larger d takes ``np.linalg.inv`` and ``matops.is_spd``.
     """
     eta = np.asarray(eta, dtype=float)
     d = matops.dim_from_vech_len(eta.size - 1)
     w = omega(graph, d)
-    if not (eta[0] < -1.0):
-        raise ImproperMessage(f"combined eta1 must be < -1, got {eta[0]}")
-    if not (eta[0] + w < 0.0):
+    eta1 = float(eta[0])
+    if not (eta1 < -1.0):
+        raise ImproperMessage(f"combined eta1 must be < -1, got {eta1}")
+    if not (eta1 + w < 0.0):
         raise ImproperMessage(
-            f"mean inverse undefined: eta1 + omega = {eta[0] + w} is not negative"
+            f"mean inverse undefined: eta1 + omega = {eta1 + w} is not negative"
         )
+    if d <= 2:
+        return _small_mean_inverse(eta1 + w, eta[1:].tolist(), graph)
+    M = matops.unfold_vech(eta[1:])
+    if graph is Graph.DIAG:
+        M = np.diag(np.diag(M))
     try:
-        E = (eta[0] + w) * np.linalg.inv(matops.unfold_vech(eta[1:]))
+        E = (eta1 + w) * np.linalg.inv(M)
     except np.linalg.LinAlgError as e:
         raise ImproperMessage(f"combined message has a singular scale: {e}") from e
     E = 0.5 * (E + E.T)
@@ -303,6 +318,35 @@ def combined_mean_inverse(eta: np.ndarray, graph: Graph) -> np.ndarray:
     elif np.any(np.diag(E) <= 0.0):
         raise ImproperMessage("combined message implies a non-positive mean inverse")
     return E
+
+
+def _small_mean_inverse(factor: float, eta2: list, graph: Graph) -> np.ndarray:
+    """``combined_mean_inverse`` for d <= 2: factor {vec^{-1}(D^{+T} eta2)}^{-1}
+    with factor = eta1 + omega < 0 and eta2 the vech as Python floats.
+
+    A diagonal entry is inverted as factor (1 / x), as LAPACK inverts a 1 x 1
+    or a diagonal matrix, so those results are bitwise the generic ones; for
+    a 1 x 1 result, 0 < e < inf is ``matops._is_spd``'s rule. Every division
+    is by a checked nonzero entry or a pivot that ``matops._cholesky`` found
+    positive, and overflow gives an infinity that the final check rejects.
+    """
+    if graph is Graph.FULL and len(eta2) == 3:
+        # -vec^{-1}(D^{+T} eta2) is SPD exactly when the mean inverse is
+        try:
+            L = matops._cholesky((-eta2[0], -0.5 * eta2[1], -eta2[2]), "the combined scale")
+        except NumericalFailure:
+            raise ImproperMessage("combined message implies a non-SPD mean inverse") from None
+        E = tuple(-factor * x for x in matops._inverse_gram(L))
+        if not matops._is_spd(E):
+            raise ImproperMessage("combined message implies a non-SPD mean inverse")
+        return matops._vech_matrix(E)
+    diagonal = eta2[::2]
+    if 0.0 in diagonal:
+        raise ImproperMessage("combined message has a singular scale")
+    E = [factor * (1.0 / x) for x in diagonal]
+    if not all(0.0 < e < math.inf for e in E):
+        raise ImproperMessage("combined message implies a non-positive mean inverse")
+    return matops._vech_matrix(E if len(E) == 1 else (E[0], 0.0, E[1]))
 
 
 def igw_mean_inverse(n: NaturalIGW) -> np.ndarray:
@@ -551,8 +595,8 @@ class _MoonRockGrid:
     The integrand is smooth and negligible at both ends, where the rule
     converges exponentially, so one grid serves every Moon Rock quantity:
     ``cdf`` (the accumulated rule, normalized) for sampling and quantiles,
-    and ``moments`` (log normalizer, mean, variance), computed from the
-    same nodes on first use.
+    and ``moments`` (log normalizer, mean, variance). Each is computed from
+    the same nodes on first use; a VMP sweep reads only the mean.
     """
 
     def __init__(self, alpha: float, beta: float):
@@ -560,9 +604,13 @@ class _MoonRockGrid:
         logf = _moonrock_log_integrand(self.s, alpha, beta)
         self._ref = np.max(logf)
         self._f = np.exp(logf - self._ref)
+
+    @functools.cached_property
+    def cdf(self) -> np.ndarray:
+        """The normalized trapezoid CDF at the nodes ``s``."""
         # the spacing is uniform, so the trapezoid weight cancels in the normalization
         cdf = np.concatenate(([0.0], np.cumsum(self._f[1:] + self._f[:-1])))
-        self.cdf = cdf / cdf[-1]
+        return cdf / cdf[-1]
 
     @functools.cached_property
     def moments(self) -> tuple[float, float, float]:
@@ -586,7 +634,7 @@ class MoonRockParams:
     exactly when beta > alpha; construction raises DivergentIntegral
     otherwise. One trapezoid grid serves sampling, quantiles, the
     normalizer and the moments. It is built on first use and cached, and
-    the moments are computed from it only when first asked for.
+    its CDF and the moments are computed from it only when first asked for.
     """
 
     alpha: float

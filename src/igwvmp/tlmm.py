@@ -593,17 +593,32 @@ def build_graph(data: TLMMData, hyper: TLMMHyper, design="slope") -> FactorGraph
     def noise_conditional_update(g):
         return iterated_update(g, "noise_conditional", "noise", "noise_aux", plan_noise)
 
-    def gaussian_moments(g):
-        return extract_gaussian(g.q_star("coefficients").eta, p, q, m)
+    def while_unchanged(node, compute):
+        # compute(q*(node)) again only when q*(node) has changed since the
+        # last call
+        memo = []
 
-    df_half_memo = []
+        def get(g):
+            eta = g.q_star(node).eta
+            if not (memo and np.array_equal(memo[0], eta)):
+                memo[:] = [eta, compute(eta)]
+            return memo[1]
 
-    def df_half_params(g):
-        # one instance, and so one Moon Rock grid, while q(df_half) is unchanged
-        eta = g.q_star("df_half").eta
-        if not (df_half_memo and np.array_equal(df_half_memo[0], eta)):
-            df_half_memo[:] = [eta, MoonRockParams.from_vector(eta)]
-        return df_half_memo[1]
+        return get
+
+    def read_only_moments(eta):
+        moments = extract_gaussian(eta, p, q, m)
+        mean, cov = moments
+        for a in (mean, *cov):
+            a.flags.writeable = False
+        return moments
+
+    # No factor between scale_mix and the next sweep's coefficient_prior
+    # writes to the coefficients, so one extraction serves both. The memo
+    # misses after a SQUAREM state load, which changes q*(coefficients).
+    gaussian_moments = while_unchanged("coefficients", read_only_moments)
+    # one instance, and so one Moon Rock grid, while q(df_half) is unchanged
+    df_half_params = while_unchanged("df_half", MoonRockParams.from_vector)
 
     def coefficient_prior_update(g):
         mu, Sig = gaussian_moments(g)

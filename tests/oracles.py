@@ -19,7 +19,9 @@ coefficients with generic numpy and LAPACK calls: ``igw_sample`` on a
 validated ``CommonIGW``, ``np.linalg.inv`` and the LAPACK arrowhead factor.
 Put in place of ``mcmc.draw_random_cov`` and ``mcmc.draw_coefficients``,
 they make ``gibbs_fit`` run the reference chain that the sampler's closed
-forms must reproduce to rounding.
+forms must reproduce to rounding. ``reference_mean_inverse`` is the generic
+numpy form of ``distributions.combined_mean_inverse``, the reference for
+its closed forms at d <= 2.
 
 ``equivalent_specs`` lists, for a prior specification, the others known to
 induce exactly the same prior, which ``prior_specs.plan_prior`` must plan
@@ -135,6 +137,18 @@ def is_spd_by_eigenvalues(M: np.ndarray) -> bool:
     above 1e-12 times its largest diagonal entry."""
     S = 0.5 * (M + M.T)
     return bool(np.linalg.eigvalsh(S)[0] > 1e-12 * max(np.max(np.diag(S)), 0.0))
+
+
+def reference_mean_inverse(eta: np.ndarray, graph: Graph) -> np.ndarray:
+    """E(X^{-1}) = (eta1 + omega) {vec^{-1}(D^{+T} eta2)}^{-1} of a proper
+    combined vector by ``np.linalg.inv``, symmetrized, with
+    ``matops.is_spd`` (full graph) or a positive diagonal (diag) asserted."""
+    d = matops.dim_from_vech_len(eta.size - 1)
+    omega = (d + 1) / 2 if graph is Graph.FULL else 1.0
+    E = (eta[0] + omega) * np.linalg.inv(vec_inverse(duplication_pinv(d).T @ eta[1:], d))
+    E = 0.5 * (E + E.T)
+    assert matops.is_spd(E) if graph is Graph.FULL else np.all(np.diag(E) > 0.0)
+    return E
 
 
 def blockdiag(blocks) -> np.ndarray:

@@ -9,7 +9,14 @@ from scipy import stats
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import digamma, gammaln, polygamma, xlogy, zeta
 
-from oracles import NaturalMVN, igw_log_density, mvn_from_natural, mvn_to_natural, vec
+from oracles import (
+    NaturalMVN,
+    igw_log_density,
+    mvn_from_natural,
+    mvn_to_natural,
+    reference_mean_inverse,
+    vec,
+)
 from igwvmp import distributions as dist
 from igwvmp import matops
 from igwvmp.distributions import CommonIGW, Graph, MoonRockParams, NaturalIGW
@@ -264,6 +271,108 @@ class TestMeanInverse:
         # eta1 + (d+1)/2 = 0.3 >= 0, no finite mean of the inverse
         with pytest.raises(ImproperMessage):
             dist.igw_mean_inverse(n)
+
+    @staticmethod
+    def _lapack_spy(monkeypatch):
+        # the calls of np.linalg.inv and matops.is_spd made while patched
+        calls = []
+        for module, name in ((np.linalg, "inv"), (matops, "is_spd")):
+            original = getattr(module, name)
+
+            def spy(M, name=name, original=original):
+                calls.append((name, np.shape(M)))
+                return original(M)
+
+            monkeypatch.setattr(module, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("graph", list(Graph))
+    def test_closed_form_matches_the_generic_reference(self, d, graph, monkeypatch):
+        # random proper vectors over 32 orders of magnitude of the scale,
+        # with the full graph's eta1 between -(d+1)/2 - 1/2 and -(d+1)/2
+        # as well as in a proper density's range
+        rng = np.random.default_rng(17 + d)
+        vectors = []
+        for _ in range(200):
+            p = random_igw(graph, d, rng)
+            eta = dist.igw_to_natural(CommonIGW(graph, p.xi, p.Lambda * 10 ** rng.uniform(-16, 16)))
+            eta = eta.to_vector()
+            if graph is Graph.FULL and rng.uniform() < 0.5:
+                eta[0] = -(d + 1) / 2 - rng.uniform(0.01, 0.5)
+            vectors.append(eta)
+        wants = [reference_mean_inverse(eta, graph) for eta in vectors]
+        calls = self._lapack_spy(monkeypatch)
+        for eta, want in zip(vectors, wants):
+            got = dist.combined_mean_inverse(eta, graph)
+            assert got.shape == (d, d)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert calls == []
+
+    @pytest.mark.parametrize("graph", list(Graph))
+    def test_three_by_three_takes_the_generic_path(self, graph, monkeypatch):
+        eta = dist.igw_to_natural(random_igw(graph, 3, np.random.default_rng(5))).to_vector()
+        want = reference_mean_inverse(eta, graph)
+        calls = self._lapack_spy(monkeypatch)
+        assert_allclose(dist.combined_mean_inverse(eta, graph), want, rtol=1e-12)
+        assert calls == [("inv", (3, 3))] + [("is_spd", (3, 3))] * (graph is Graph.FULL)
+
+    def test_diag_graph_reads_only_the_diagonal(self):
+        for eta2 in ([-1.0, 0.0, -2.0], [-1.0, 0.0, 0.0, -2.0, 0.0, -3.0]):
+            canonical = np.array([-3.0, *eta2])
+            noisy = canonical.copy()
+            noisy[2] = np.nan
+            assert np.array_equal(
+                dist.combined_mean_inverse(noisy, Graph.DIAG),
+                dist.combined_mean_inverse(canonical, Graph.DIAG),
+            )
+
+    # (eta, graph) pairs with no finite, positive definite mean inverse
+    IMPROPER = {
+        "eta1 = -1": ([-1.0, -0.5], Graph.FULL),
+        "eta1 > -1, d = 2": ([-0.5, -0.5, 0.0, -0.5], Graph.DIAG),
+        "eta1 + omega = 0": ([-1.5, -0.5, 0.0, -0.5], Graph.FULL),
+        "eta1 + omega > 0": ([-1.2, -0.5, 0.0, -0.5], Graph.FULL),
+        "zero 1x1 scale, full": ([-3.0, 0.0], Graph.FULL),
+        "zero 1x1 scale, diag": ([-3.0, -0.0], Graph.DIAG),
+        "singular 2x2 scale, full": ([-3.0, -0.5, -1.0, -0.5], Graph.FULL),
+        "singular 2x2 scale, diag": ([-3.0, -0.5, 0.0, 0.0], Graph.DIAG),
+        "negative 1x1 result": ([-3.0, 0.5], Graph.FULL),
+        "negative definite 2x2 result": ([-3.0, 0.5, 0.0, 0.5], Graph.FULL),
+        "indefinite 2x2 result": ([-3.0, -0.5, -2.0, -0.5], Graph.FULL),
+        # the scale factors, but the result's eigenvalues differ by about
+        # 1e14, beyond is_spd's 1e-12 margin
+        "ill-conditioned 2x2 result": ([-3.0, -0.5, -(1.0 - 1e-14), -0.5], Graph.FULL),
+        "non-positive diag result": ([-3.0, -0.5, 0.0, 0.5], Graph.DIAG),
+        "NaN eta1": ([np.nan, -0.5], Graph.FULL),
+        "inf eta1": ([np.inf, -0.5, 0.0, -0.5], Graph.DIAG),
+        "-inf eta1": ([-np.inf, -0.5, 0.0, -0.5], Graph.FULL),
+        "-1e308 eta1, d = 1": ([-1e308, -0.5], Graph.FULL),
+        "-1e308 eta1, d = 2": ([-1e308, -0.5, 0.0, -0.5], Graph.DIAG),
+        "-1e308 eta1, full 2x2": ([-1e308, -0.5, 0.0, -0.5], Graph.FULL),
+        "NaN scale, d = 1": ([-3.0, np.nan], Graph.DIAG),
+        "NaN diagonal, full": ([-3.0, -0.5, 0.0, np.nan], Graph.FULL),
+        "NaN off-diagonal, full": ([-3.0, -0.5, np.nan, -0.5], Graph.FULL),
+        "NaN diagonal, diag": ([-3.0, np.nan, 0.0, -0.5], Graph.DIAG),
+        "inf scale, d = 1": ([-3.0, np.inf], Graph.FULL),
+        "-inf scale, d = 1": ([-3.0, -np.inf], Graph.FULL),
+        "-inf diagonal, full": ([-3.0, -np.inf, 0.0, -0.5], Graph.FULL),
+        "inf off-diagonal, full": ([-3.0, -0.5, np.inf, -0.5], Graph.FULL),
+        "-inf diagonal, diag": ([-3.0, -0.5, 0.0, -np.inf], Graph.DIAG),
+        "1e308 scale, d = 1": ([-3.0, 1e308], Graph.DIAG),
+        "1e308 off-diagonal, full": ([-3.0, -0.5, 1e308, -0.5], Graph.FULL),
+        "-1e308 off-diagonal, full": ([-3.0, -1e308, -1e308, -0.5], Graph.FULL),
+        "1e308 diagonal, full": ([-3.0, 1e308, 0.0, -0.5], Graph.FULL),
+        "subnormal scale overflows the result": ([-3.0, -5e-324], Graph.FULL),
+    }
+
+    @pytest.mark.parametrize("eta, graph", IMPROPER.values(), ids=IMPROPER.keys())
+    def test_improper_vectors_raise_improper_message(self, eta, graph):
+        # also no ZeroDivisionError, no OverflowError and no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ImproperMessage):
+                dist.combined_mean_inverse(np.array(eta), graph)
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +695,22 @@ class TestMoonRock:
         dist.moonrock_log_density(p, 1.0)
         assert "moments" in vars(p._grid)
         assert builds == [(300.0, 310.0)]
+
+    def test_cdf_is_computed_on_first_use(self):
+        # a VMP sweep reads only the mean; the CDF waits for sampling or a
+        # quantile and is then the eager trapezoid sum, bitwise
+        p = MoonRockParams(300.0, 310.0)
+        dist.moonrock_mean(p)
+        assert "cdf" not in vars(p._grid)
+        f, s = p._grid._f, p._grid.s
+        cdf = np.concatenate(([0.0], np.cumsum(f[1:] + f[:-1])))
+        cdf = cdf / cdf[-1]
+        prob = np.array([1e-6, 0.3, 0.5, 1.0 - 1e-10])
+        assert np.array_equal(dist.moonrock_quantile(p, prob), np.exp(np.interp(prob, cdf, s)))
+        got = dist.moonrock_sample(p, np.random.default_rng(3), size=50)
+        u = np.random.default_rng(3).uniform(size=50)
+        assert np.array_equal(got, np.exp(np.interp(u, cdf, s)))
+        assert np.array_equal(vars(p._grid)["cdf"], cdf)
 
     @staticmethod
     def _quad_reference(alpha, beta):

@@ -487,6 +487,65 @@ def test_one_likelihood_computation_per_sweep(monkeypatch):
     assert calls == {"weighted_cross": sweeps, "t_likelihood_update": sweeps}
 
 
+def _spy_extractions(monkeypatch):
+    calls = []
+    extract = tlmm.extract_gaussian
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return extract(*args, **kwargs)
+
+    monkeypatch.setattr(tlmm, "extract_gaussian", counted)
+    return calls
+
+
+def test_scale_mix_extraction_serves_the_next_coefficient_prior(monkeypatch):
+    # no factor between scale_mix and the next sweep's coefficient_prior
+    # writes to the coefficients, so only the first sweep extracts 3 times
+    data, _ = tlmm.simulate(seed=1, n_groups=6)
+    graph = tlmm.build_graph(data, tlmm.TLMMHyper.diffuse(2))
+    calls = _spy_extractions(monkeypatch)
+    per_sweep = []
+    for _ in range(4):
+        calls.clear()
+        graph.sweep()
+        per_sweep.append(len(calls))
+    assert per_sweep == [3, 2, 2, 2]
+    # a state load that changes a coefficient slice, as a SQUAREM step does
+    start = graph.state()
+    graph.sweep()
+    graph.load_state(start)
+    calls.clear()
+    graph.sweep()
+    assert len(calls) == 3
+
+
+def test_coefficient_prior_gets_the_moments_of_its_q_star(monkeypatch):
+    # through SQUAREM's state loads, the shared moments stay bitwise those
+    # of a fresh extraction of the q* each coefficient_prior update reads
+    data, _ = tlmm.simulate(seed=1, n_groups=6)
+    graph = tlmm.build_graph(data, tlmm.TLMMHyper.diffuse(2))
+    extract = tlmm.extract_gaussian
+    penalization = fr.gaussian_penalization_update
+    seen = []
+
+    def checked(mean, cov, *args):
+        fresh_mean, fresh_cov = extract(graph.q_star("coefficients").eta, 2, 2, 6)
+        assert np.array_equal(mean, fresh_mean)
+        assert all(np.array_equal(a, b) for a, b in zip(cov, fresh_cov))
+        seen.append((mean, cov))
+        return penalization(mean, cov, *args)
+
+    monkeypatch.setattr(fr, "gaussian_penalization_update", checked)
+    calls = _spy_extractions(monkeypatch)
+    graph.run(tol=1e-10, max_iters=60)
+    assert 0 < len(calls) < 3 * len(seen)
+    mean, cov = seen[-1]
+    for a in (mean, *cov):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
 def _posterior_blocks(summary):
     return {
         "beta_u.mean": summary.coefficient_mean,
